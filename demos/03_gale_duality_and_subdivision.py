@@ -9,7 +9,7 @@ through the sum of the last block's columns then refines the fan.
 
 import itertools
 
-from coxpres import Params, Fan, gale_cone_test, gale_matrix_P, \
+from coxpres import Params, Fan, GalePair, gale_cone_test, gale_matrix_P, \
     stellar_subdivide, weight_matrices
 from coxpres.collineation import barycenter_ray
 
@@ -18,12 +18,13 @@ q, _ = weight_matrices(p)
 pm = gale_matrix_P(p)
 n = p.n
 
-print(f"Gale matrix: {pm.rows} x {pm.cols}, with P @ Q^T = 0: "
-      f"{(pm @ q.transpose()).is_zero()}")
+# GalePair checks P @ Q^T = 0 once; every cone test below relies on it
+gale = GalePair(pm, q)
+print(f"Gale matrix: {pm.rows} x {pm.cols}, with P @ Q^T = 0 (checked once)")
 
 pairs = list(itertools.combinations(range(n), 2))
-acc1 = [pr for pr in pairs if gale_cone_test(pm, q, (2, 1), pr)]
-acc2 = [pr for pr in pairs if gale_cone_test(pm, q, (2, -1), pr)]
+acc1 = [pr for pr in pairs if gale_cone_test(gale, (2, 1), pr)]
+acc2 = [pr for pr in pairs if gale_cone_test(gale, (2, -1), pr)]
 print(f"column pairs tested: {len(pairs)}")
 print(f"maximal cones of the first quotient fan:  {len(acc1)} "
       f"(= a+ * (a0 + a-) = {p.a_plus * (p.a_zero + p.a_minus)})")

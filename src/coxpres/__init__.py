@@ -12,9 +12,9 @@ from .collineation import (CoxPresentation, Params, WitnessPoint,
                            local_equation_invariance, plucker_relations,
                            proof_ideals, pullback_and_cancel, segre_map,
                            weight_matrices, witness_points)
-from .geometry import (Cone, Fan, barycenter_direction, cone_intersect,
-                       cone_membership, gale_cone_test, git_fan, mori_cones,
-                       stellar_subdivide)
+from .geometry import (Cone, Fan, GalePair, barycenter_direction,
+                       cone_intersect, cone_membership, gale_cone_test,
+                       git_fan, mori_cones, stellar_subdivide)
 from .groebner import (BudgetExceeded, Ideal, eliminate, groebner_basis,
                        ideal_equal, krull_dimension, normal_form, saturate,
                        toric_kernel)
@@ -23,8 +23,8 @@ from .polyring import Grading, MonomialOrder, Polynomial, PolyRing, RingMap, \
     multidegree
 
 __all__ = [
-    "BudgetExceeded", "Cone", "CoxPresentation", "Fan", "Grading", "Ideal",
-    "IntMatrix", "MonomialOrder", "Params", "Polynomial", "PolyRing",
+    "BudgetExceeded", "Cone", "CoxPresentation", "Fan", "GalePair", "Grading",
+    "Ideal", "IntMatrix", "MonomialOrder", "Params", "Polynomial", "PolyRing",
     "RingMap", "WitnessPoint", "barycenter_direction", "cone_intersect",
     "cone_membership", "cox_presentation", "eliminate", "gale_cone_test",
     "gale_matrix_P", "git_fan", "groebner_basis", "hermite_normal_form",

@@ -192,11 +192,12 @@ def check_gitfan(p: col.Params, budget: int):
 def check_fancomb(p: col.Params, budget: int):
     q, _ = col.weight_matrices(p)
     pm = col.gale_matrix_P(p)
+    gale = geo.GalePair(pm, q)
     n = p.n
     acc1 = [pair for pair in itertools.combinations(range(n), 2)
-            if geo.gale_cone_test(pm, q, (2, 1), pair)]
+            if geo.gale_cone_test(gale, (2, 1), pair)]
     acc2 = [pair for pair in itertools.combinations(range(n), 2)
-            if geo.gale_cone_test(pm, q, (2, -1), pair)]
+            if geo.gale_cone_test(gale, (2, -1), pair)]
     ap, a0, am = p.a_plus, p.a_zero, p.a_minus
     expected = {"accepted_1": ap * (a0 + am), "accepted_2": am * (a0 + ap)}
     actual = {"accepted_1": len(acc1), "accepted_2": len(acc2)}
@@ -366,7 +367,7 @@ def run_checks(p: col.Params, ids: Optional[Iterable[str]] = None,
         selected = sorted(dict.fromkeys(ids))
         unknown = [i for i in selected if i not in CHECKS]
         if unknown:
-            raise KeyError(f"unknown checks: {', '.join(unknown)}")
+            raise ValueError(f"unknown checks: {', '.join(unknown)}")
     results = []
     for check_id in selected:
         fn = CHECKS[check_id]

@@ -36,8 +36,6 @@ class Config:
     strict: bool = False
 
     def __post_init__(self):
-        if self.c < 2 or self.d < 2:
-            raise UsageError("parameters must satisfy c >= 2 and d >= 2")
         if self.budget <= 0:
             raise UsageError("budget must be positive")
 
@@ -218,10 +216,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         handler = {"present": cmd_present, "verify": cmd_verify,
                    "cones": cmd_cones, "gitfan": cmd_gitfan}[args.command]
         return handler(cfg)
-    except KeyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

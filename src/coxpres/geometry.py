@@ -39,13 +39,6 @@ def _is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def _try_primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return None if g == 0 else tuple(x // g for x in v)
-
-
 # ---------------------------------------------------------------------------
 # exact feasibility of  G@lam = v,  lam >= 0  (or > 0)
 
@@ -165,8 +158,10 @@ class Cone:
             g = tuple(int(x) for x in g)
             if len(g) != ambient:
                 raise ValueError("generator of wrong dimension")
-            p = _try_primitive(g)
-            if p is not None and p not in prim:
+            if _is_zero(g):
+                continue
+            p = primitive(g)
+            if p not in prim:
                 prim.append(p)
         if ambient <= 3:
             changed = True
@@ -245,37 +240,24 @@ def _facet_normals(cone: Cone) -> list[Vec]:
     for n in comp.entries:
         out.append(tuple(n))
         out.append(tuple(-x for x in n))
-    if k == 3 and cone.dim() == 3:
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                n = _cross3(g, h)
-                if _is_zero(n):
-                    continue
-                dots = [_dot(n, x) for x in gens]
-                if all(d >= 0 for d in dots):
-                    out.append(_try_primitive(n))
-                elif all(d <= 0 for d in dots):
-                    out.append(_try_primitive(tuple(-x for x in n)))
-    elif k == 3 and cone.dim() == 2:
-        n0 = comp.entries[0]
-        for g in gens:
-            n = _cross3(g, tuple(n0))
-            if _is_zero(n):
-                continue
-            dots = [_dot(n, x) for x in gens]
-            if all(d >= 0 for d in dots):
-                out.append(_try_primitive(n))
-            elif all(d <= 0 for d in dots):
-                out.append(_try_primitive(tuple(-x for x in n)))
-    elif k == 2 and cone.dim() == 2:
-        for g in gens:
-            n = _rot2(g)
-            dots = [_dot(n, x) for x in gens]
-            if all(d >= 0 for d in dots):
-                out.append(_try_primitive(n))
-            elif all(d <= 0 for d in dots):
-                out.append(_try_primitive(tuple(-x for x in n)))
-    return [n for n in out if n is not None]
+    # candidate facet normals inside the span, oriented towards the cone
+    dim = cone.dim()
+    cands: list[Vec] = []
+    if k == 3 and dim == 3:
+        cands = [_cross3(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
+    elif k == 3 and dim == 2:
+        cands = [_cross3(g, comp.entries[0]) for g in gens]
+    elif k == 2 and dim == 2:
+        cands = [_rot2(g) for g in gens]
+    for n in cands:
+        if _is_zero(n):
+            continue
+        dots = [_dot(n, x) for x in gens]
+        if all(d >= 0 for d in dots):
+            out.append(primitive(n))
+        elif all(d <= 0 for d in dots):
+            out.append(primitive(tuple(-x for x in n)))
+    return out
 
 
 def cone_intersect(c1: Cone, c2: Cone) -> Cone:
@@ -304,8 +286,8 @@ def cone_intersect(c1: Cone, c2: Cone) -> Cone:
     kept = []
     seen = set()
     for c in cands:
-        p = _try_primitive(c)
-        if p is None or p in seen:
+        p = primitive(c)
+        if p in seen:
             continue
         seen.add(p)
         if c1.contains(p) and c2.contains(p):
@@ -330,7 +312,7 @@ class Fan:
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate rays")
         for r in self.rays:
-            if _try_primitive(r) != r:
+            if _is_zero(r) or primitive(r) != r:
                 raise ValueError(f"ray {r} not primitive")
         for mc in self.maximal_cones:
             if sorted(set(mc)) != list(mc):
@@ -370,7 +352,7 @@ def git_fan(q: IntMatrix) -> Fan:
     cols = [c for c in q.columns() if not _is_zero(c)]
     if not cols:
         raise ValueError("all weight columns are zero")
-    dirs = sorted({_try_primitive(c) for c in cols}, key=cmp_to_key(_angle_cmp))
+    dirs = sorted({primitive(c) for c in cols}, key=cmp_to_key(_angle_cmp))
     m = len(dirs)
     if m > 1:
         gap_at = None
@@ -394,17 +376,27 @@ def git_fan(q: IntMatrix) -> Fan:
     return Fan(2, tuple(dirs), cones, simplicial=True)
 
 
-def gale_cone_test(p: IntMatrix, q: IntMatrix, w, removed: Iterable[int]) -> bool:
+@dataclass(frozen=True)
+class GalePair:
+    """Ray matrix P and weight matrix Q with P @ Q^T = 0, checked once."""
+
+    p: IntMatrix
+    q: IntMatrix
+
+    def __post_init__(self):
+        if self.p.cols != self.q.cols:
+            raise ValueError("not a Gale pair: column counts differ")
+        if not (self.p @ self.q.transpose()).is_zero():
+            raise ValueError("not a Gale pair: P @ Q^T is nonzero")
+
+
+def gale_cone_test(pair: GalePair, w, removed: Iterable[int]) -> bool:
     """Does dropping `removed` columns of P span a quotient-fan cone?
 
     By Gale duality this holds exactly when w lies in the relative
-    interior of the cone over the removed columns of Q. Requires
-    P @ Q^T = 0.
+    interior of the cone over the removed columns of Q.
     """
-    if p.cols != q.cols:
-        raise ValueError("not a Gale pair: column counts differ")
-    if not (p @ q.transpose()).is_zero():
-        raise ValueError("not a Gale pair: P @ Q^T is nonzero")
+    q = pair.q
     idx = sorted(set(removed))
     cone = Cone.from_generators(q.rows, [q.col(j) for j in idx])
     return cone.contains(w, relative_interior=True)
@@ -448,10 +440,9 @@ def barycenter_direction(p: IntMatrix, cols: Iterable[int]) -> Vec:
     for j in idx:
         for i, x in enumerate(p.col(j)):
             s[i] += x
-    out = _try_primitive(s)
-    if out is None:
+    if _is_zero(s):
         raise ValueError("selected columns sum to zero")
-    return out
+    return primitive(s)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, kernel_basis
-from .polyring import (EliminationBlock, Polynomial, PolyRing, divides,
-                       exps_lcm, exps_sub)
+from .polyring import (EliminationBlock, Polynomial, PolyRing, _merge,
+                       divides, exps_lcm, exps_sub)
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -29,16 +29,13 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial],
-                order=None) -> Polynomial:
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of f on division by `basis`.
 
     No term of the result is divisible by any leading term of the basis,
     and f minus the result lies in the ideal the basis generates.
     """
     ring = f.ring
-    if order is not None and order != ring.order:
-        raise ValueError("order does not match the ring")
     key = ring.order.key
     red = [(g.leading_exps(), g.leading_coeff(), g) for g in basis if g]
     if len(red) != len(basis):
@@ -53,34 +50,9 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
             work = work[1:]
             continue
         le, lc, g = hit
-        mult = g.term_mul(exps_sub(e, le), c / lc)
-        # head cancels by construction
-        work = _sub_terms(key, work, mult.terms)
+        # adding -(c/lc)·shift·g cancels the head by construction
+        work = _merge(key, work, g.term_mul(exps_sub(e, le), -c / lc).terms)
     return Polynomial(ring, tuple(rem))
-
-
-def _sub_terms(key, a, b):
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ea, ca = a[i]
-        eb, cb = b[j]
-        if ea == eb:
-            c = ca - cb
-            if c:
-                out.append((ea, c))
-            i += 1
-            j += 1
-        elif key(ea) > key(eb):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append((eb, -cb))
-            j += 1
-    out.extend(a[i:])
-    out.extend((e, -c) for e, c in b[j:])
-    return tuple(out)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -288,21 +260,23 @@ def krull_dimension(a: Ideal, budget: int = DEFAULT_PAIR_BUDGET) -> int:
 
 def _min_hitting_set(sets: list[frozenset]) -> int:
     """Smallest number of elements meeting every set (memoized search)."""
-    memo: dict = {}
+    return _hitting(frozenset(sets), {})
 
-    def solve(remaining: frozenset) -> int:
-        if not remaining:
-            return 0
-        got = memo.get(remaining)
-        if got is not None:
-            return got
-        pivot = min(remaining, key=len)
-        out = min(1 + solve(frozenset(s for s in remaining if v not in s))
-                  for v in sorted(pivot))
-        memo[remaining] = out
-        return out
 
-    return solve(frozenset(sets))
+def _hitting(remaining: frozenset, memo: dict) -> int:
+    # A module-level function, not a closure over `memo`: a closure that
+    # calls itself is a reference cycle, which would keep the memo (about
+    # 21 MB at (4,4)) alive until the cyclic collector happens to run.
+    if not remaining:
+        return 0
+    got = memo.get(remaining)
+    if got is not None:
+        return got
+    pivot = min(remaining, key=len)
+    out = min(1 + _hitting(frozenset(s for s in remaining if v not in s), memo)
+              for v in sorted(pivot))
+    memo[remaining] = out
+    return out
 
 
 def toric_kernel(e: IntMatrix, ring: Optional[PolyRing] = None,

@@ -277,12 +277,12 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return Polynomial(self.ring, _merge(self.ring.order.key, self.terms, other.terms, 1))
+        return Polynomial(self.ring, _merge(self.ring.order.key, self.terms, other.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return Polynomial(self.ring, _merge(self.ring.order.key, self.terms, other.terms, -1))
+        return Polynomial(self.ring, _merge(self.ring.order.key, self.terms, (-other).terms))
 
     def __neg__(self):
         return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
@@ -374,8 +374,8 @@ class Polynomial:
     __repr__ = __str__
 
 
-def _merge(key, a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
-    """Merge two descending term lists; sign applies to b."""
+def _merge(key, a: tuple[Term, ...], b: tuple[Term, ...]) -> tuple[Term, ...]:
+    """Sum of two descending term lists, descending with no zero terms."""
     out = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -383,7 +383,7 @@ def _merge(key, a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Te
         ea, ca = a[i]
         eb, cb = b[j]
         if ea == eb:
-            c = ca + sign * cb
+            c = ca + cb
             if c:
                 out.append((ea, c))
             i += 1
@@ -392,10 +392,10 @@ def _merge(key, a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Te
             out.append(a[i])
             i += 1
         else:
-            out.append((eb, sign * cb))
+            out.append(b[j])
             j += 1
     out.extend(a[i:])
-    out.extend((e, sign * c) for e, c in b[j:])
+    out.extend(b[j:])
     return tuple(out)
 
 
@@ -495,7 +495,3 @@ class RingMap:
         if not self._monomial:
             raise ValueError("not a monomial map")
         return IntMatrix.from_cols([g.terms[0][0] for g in self.images])
-
-
-def apply_map(phi: RingMap, f: Polynomial) -> Polynomial:
-    return phi(f)

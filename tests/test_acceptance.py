@@ -18,8 +18,8 @@ from coxpres.collineation import (Params, TINF, cox_presentation,
                                   pullback_and_cancel, pullback_map,
                                   segre_map, weight_matrices, witness_points,
                                   barycenter_ray)
-from coxpres.geometry import (Cone, Fan, gale_cone_test, git_fan, mori_cones,
-                              stellar_subdivide)
+from coxpres.geometry import (Cone, Fan, GalePair, gale_cone_test, git_fan,
+                              mori_cones, stellar_subdivide)
 from coxpres.groebner import (BudgetExceeded, Ideal, ideal_equal,
                               krull_dimension, normal_form, saturate,
                               toric_kernel)
@@ -153,10 +153,11 @@ def test_criterion_06_fan_combinatorics():
         p = Params(3, 3)
         q, _ = weight_matrices(p)
         pm = gale_matrix_P(p)
+        gale = GalePair(pm, q)
         all_pairs = list(itertools.combinations(range(15), 2))
         assert len(all_pairs) == 105
-        acc1 = [pr for pr in all_pairs if gale_cone_test(pm, q, (2, 1), pr)]
-        acc2 = [pr for pr in all_pairs if gale_cone_test(pm, q, (2, -1), pr)]
+        acc1 = [pr for pr in all_pairs if gale_cone_test(gale, (2, 1), pr)]
+        acc2 = [pr for pr in all_pairs if gale_cone_test(gale, (2, -1), pr)]
         assert len(acc1) == 36
         assert len(acc2) == 36
         # predicted supports: one column inside the first block, the other

@@ -52,6 +52,16 @@ def test_present_writes_file(tmp_path, capsys):
     assert obj["regime"] == "general"
 
 
+def test_present_unwritable_out_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "pres.txt"
+    code = main(["present", "--c", "3", "--d", "3", "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out_path) in err
+    assert not out_path.exists()
+
+
 def test_verify_all_pass(capsys):
     code, out = run_cli(capsys, "verify", "--c", "3", "--d", "3")
     assert code == 0
@@ -85,6 +95,7 @@ def test_verify_strict_turns_skip_into_failure(capsys):
 def test_verify_unknown_check(capsys):
     code = main(["verify", "--c", "3", "--d", "3", "--checks", "nonsense"])
     assert code == 2
+    assert capsys.readouterr().err == "error: unknown checks: nonsense\n"
 
 
 def test_cones_output(capsys):

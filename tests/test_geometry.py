@@ -5,9 +5,10 @@ import pytest
 
 from coxpres.collineation import (Params, barycenter_ray, gale_matrix_P,
                                   weight_matrices)
-from coxpres.geometry import (Cone, Fan, barycenter_direction, cone_intersect,
-                              cone_membership, gale_cone_test, git_fan,
-                              mori_cones, stellar_subdivide)
+from coxpres.checks import run_checks
+from coxpres.geometry import (Cone, Fan, GalePair, barycenter_direction,
+                              cone_intersect, cone_membership, gale_cone_test,
+                              git_fan, mori_cones, stellar_subdivide)
 from coxpres.intlinalg import IntMatrix
 
 W1, W2, W3, W4 = (1, 1, -1), (1, 0, 0), (1, -1, 0), (0, 0, 1)
@@ -166,46 +167,55 @@ def test_git_fan_needs_two_rows():
 def gale33():
     p = Params(3, 3)
     q, _ = weight_matrices(p)
-    return p, q, gale_matrix_P(p)
+    return p, q, GalePair(gale_matrix_P(p), q)
 
 
 def test_gale_accepts_mixed_removal(gale33):
-    p, q, pm = gale33
+    p, q, gale = gale33
     # one column from the first block, one from the middle block
-    assert gale_cone_test(pm, q, (2, 1), (0, 3))
+    assert gale_cone_test(gale, (2, 1), (0, 3))
 
 
 def test_gale_rejects_pure_middle_removal(gale33):
-    p, q, pm = gale33
-    assert not gale_cone_test(pm, q, (2, 1), (3, 4))
+    p, q, gale = gale33
+    assert not gale_cone_test(gale, (2, 1), (3, 4))
 
 
 def test_gale_mirror_chamber(gale33):
-    p, q, pm = gale33
+    p, q, gale = gale33
     # one column from the last block, one from the first
-    assert gale_cone_test(pm, q, (2, -1), (0, 12))
+    assert gale_cone_test(gale, (2, -1), (0, 12))
 
 
 def test_gale_empty_removal_is_false(gale33):
-    p, q, pm = gale33
-    assert not gale_cone_test(pm, q, (2, 1), ())
+    p, q, gale = gale33
+    assert not gale_cone_test(gale, (2, 1), ())
 
 
 def test_gale_requires_gale_pair(gale33):
     p, q, _ = gale33
-    bad = IntMatrix.identity(15)
-    with pytest.raises(ValueError):
-        gale_cone_test(bad, q, (2, 1), (0, 3))
+    with pytest.raises(ValueError, match="nonzero"):
+        GalePair(IntMatrix.identity(15), q)
+    with pytest.raises(ValueError, match="column counts differ"):
+        GalePair(IntMatrix.identity(14), q)
 
 
 def test_gale_exhaustive_counts(gale33):
-    p, q, pm = gale33
+    p, q, gale = gale33
     acc1 = sum(1 for pair in itertools.combinations(range(15), 2)
-               if gale_cone_test(pm, q, (2, 1), pair))
+               if gale_cone_test(gale, (2, 1), pair))
     acc2 = sum(1 for pair in itertools.combinations(range(15), 2)
-               if gale_cone_test(pm, q, (2, -1), pair))
+               if gale_cone_test(gale, (2, -1), pair))
     assert acc1 == 36
     assert acc2 == 36
+
+
+# the degenerate regimes c = 2 and d = 2, and asymmetric general cells
+@pytest.mark.parametrize("c,d", [(2, 5), (5, 2), (3, 4), (4, 3), (4, 5)])
+def test_fancomb_passes_off_the_default_cell(c, d):
+    report = run_checks(Params(c, d), ["gale", "fancomb"])
+    assert [(r.check_id, r.status) for r in report.results] == [
+        ("fancomb", "pass"), ("gale", "pass")]
 
 
 # -- stellar subdivision
@@ -237,8 +247,9 @@ def test_stellar_on_quotient_fan_counts():
     p = Params(3, 3)
     q, _ = weight_matrices(p)
     pm = gale_matrix_P(p)
+    gale = GalePair(pm, q)
     accepted = [pair for pair in itertools.combinations(range(15), 2)
-                if gale_cone_test(pm, q, (2, 1), pair)]
+                if gale_cone_test(gale, (2, 1), pair)]
     fan = Fan(13, tuple(pm.columns()),
               tuple(tuple(i for i in range(15) if i not in pair)
                     for pair in accepted), simplicial=True)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -170,6 +171,14 @@ def test_krull_dimensions_at_3_3(ideal33):
     assert krull_dimension(ideal33) == 10
     j = Ideal(ring, ideal33.gens + (ring.var("Tinf"),))
     assert krull_dimension(j) == 9
+
+
+def test_krull_dimension_leaves_no_cyclic_garbage(ideal33):
+    # the hitting-set memo must be freed on return, not by a later
+    # cyclic collection, or peak memory depends on when that runs
+    gc.collect()
+    assert krull_dimension(ideal33) == 10
+    assert gc.collect() == 0
 
 
 def test_krull_invariance():

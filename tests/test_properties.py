@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from coxpres.geometry import git_fan, stellar_subdivide
 from coxpres.groebner import (BudgetExceeded, Ideal, groebner_basis,
                               normal_form, saturate, toric_kernel)
-from coxpres.intlinalg import IntMatrix, hermite_normal_form, kernel_basis, rank
+from coxpres.intlinalg import (IntMatrix, hermite_normal_form, kernel_basis,
+                               primitive, rank)
 from coxpres.polyring import (GREVLEX, LEX, EliminationBlock, PolyRing,
                               RingMap, divides)
 
@@ -116,6 +117,31 @@ def test_orders_total_and_multiplicative(a, b, t):
 
 
 # ---------------------------------------------------------------------------
+# term merge (the one routine behind +, - and normal-form reduction)
+
+
+MERGE_RINGS = [PolyRing(("x", "y", "z"), order)
+               for order in (GREVLEX, LEX, EliminationBlock(2))]
+
+
+@BASE
+@given(ring=st.sampled_from(MERGE_RINGS), data=st.data())
+def test_merge_sum_and_difference(ring, data):
+    f = data.draw(poly_strategy(ring, max_terms=5))
+    g = data.draw(poly_strategy(ring, max_terms=5))
+    assert (f - g) + g == f
+    assert not f - f
+    assert f + g == g + f
+    # from_terms sorts a dict, a route independent of the merge
+    assert f + g == ring.from_terms(f.terms + g.terms)
+    key = ring.order.key
+    for h in (f + g, f - g, g - f):
+        keys = [key(e) for e, _ in h.terms]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert all(c != 0 for _, c in h.terms)
+
+
+# ---------------------------------------------------------------------------
 # ring map homomorphism
 
 
@@ -166,7 +192,6 @@ def test_chamber_cover(cols, coeffs, pick):
        weights=st.tuples(st.integers(1, 3), st.integers(1, 3)),
        pick=st.data())
 def test_stellar_subdivision_preserves_support(raw, weights, pick):
-    from coxpres.geometry import _try_primitive
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -176,7 +201,7 @@ def test_stellar_subdivision_preserves_support(raw, weights, pick):
     target = fan.maximal_cones[idx]
     u, v = fan.rays[target[0]], fan.rays[target[1]]
     new_ray = (u[0] + v[0], u[1] + v[1])
-    if _try_primitive(new_ray) in fan.rays:
+    if primitive(new_ray) in fan.rays:
         assume(False)
     out = stellar_subdivide(fan, target, new_ray)
     assert len(out.maximal_cones) == len(fan.maximal_cones) + 1
