@@ -5,8 +5,9 @@
     coxpres cones   --c 3 --d 4
     coxpres gitfan  --c 3 --d 3
 
-Exit codes: 0 success, 1 check failure, 2 usage error. The environment
-variable COXPRES_BUDGET overrides the default Groebner pair budget.
+Exit codes: 0 success, 1 check failure, 2 usage error; c + d above
+MAX_C_PLUS_D is a usage error. The environment variable COXPRES_BUDGET
+overrides the default Groebner pair budget.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from . import collineation as col
 from . import geometry as geo
 from . import serialize as ser
 from .groebner import DEFAULT_PAIR_BUDGET
+
+# cox_presentation builds all C(c+d, 4) relations at once: 4,845 at the cap
+MAX_C_PLUS_D = 20
 
 
 @dataclass
@@ -45,6 +49,9 @@ class UsageError(Exception):
 
 
 def _params(cfg: Config) -> col.Params:
+    if cfg.c + cfg.d > MAX_C_PLUS_D:
+        raise ValueError(f"c + d must be at most {MAX_C_PLUS_D}, "
+                         f"got {cfg.c + cfg.d}")
     return col.Params(cfg.c, cfg.d)
 
 

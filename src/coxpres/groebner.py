@@ -29,27 +29,70 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+def _support_mask(e) -> int:
+    """Bit i set when variable i occurs in the monomial with exponents e."""
+    mask = 0
+    for i, x in enumerate(e):
+        if x:
+            mask |= 1 << i
+    return mask
+
+
+class _Divisors:
+    """Divisor table of a basis, in basis order.
+
+    One entry (mask, leading exps, leading coeff, polynomial) per element.
+    A leading monomial divides a monomial only if its support mask has no
+    bit outside the monomial's, so one AND rejects most candidates before
+    the exact `divides` (Roune-Stillman divisibility masks).
+    """
+
+    __slots__ = ("ring", "entries")
+
+    def __init__(self, ring: PolyRing, basis: Iterable[Polynomial] = ()):
+        self.ring = ring
+        self.entries: list = []
+        for g in basis:
+            self.add(g)
+
+    def add(self, g: Polynomial) -> None:
+        if not g:
+            raise ValueError("zero polynomial in divisor list")
+        if g.ring != self.ring:
+            raise ValueError("mismatched ambient rings")
+        e, c = g.terms[0]
+        self.entries.append((_support_mask(e), e, c, g))
+
+
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of f on division by `basis`.
 
     No term of the result is divisible by any leading term of the basis,
-    and f minus the result lies in the ideal the basis generates.
+    and f minus the result lies in the ideal the basis generates. Each
+    head is divided by the first basis element whose leading term
+    divides it.
     """
     ring = f.ring
+    if isinstance(basis, _Divisors):
+        if ring != basis.ring:
+            raise ValueError("mismatched ambient rings")
+        table = basis
+    else:
+        table = _Divisors(ring, basis)
     key = ring.order.key
-    red = [(g.leading_exps(), g.leading_coeff(), g) for g in basis if g]
-    if len(red) != len(basis):
-        raise ValueError("zero polynomial in divisor list")
+    entries = table.entries
     work = f.terms
     rem: list = []
     while work:
         e, c = work[0]
-        hit = next(((le, lc, g) for le, lc, g in red if divides(le, e)), None)
-        if hit is None:
+        outside = ~_support_mask(e)
+        for mask, le, lc, g in entries:
+            if not mask & outside and divides(le, e):
+                break
+        else:
             rem.append((e, c))
             work = work[1:]
             continue
-        le, lc, g = hit
         # adding -(c/lc)·shift·g cancels the head by construction
         work = _merge(key, work, g.term_mul(exps_sub(e, le), -c / lc).terms)
     return Polynomial(ring, tuple(rem))
@@ -82,75 +125,71 @@ def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
         return ()
     key = ring.order.key
 
-    basis: list[Polynomial] = []
-    lms: list = []
+    table = _Divisors(ring)
+    entries = table.entries
     pending: set[tuple[int, int]] = set()
     heap: list = []
 
-    def push_pairs(j):
-        ej = lms[j]
+    def add(r):
+        table.add(r.monic())
+        j = len(entries) - 1
+        ej = entries[j][1]
         for i in range(j):
-            l = exps_lcm(lms[i], ej)
-            heapq.heappush(heap, (sum(l), key(l), i, j))
+            l = exps_lcm(entries[i][1], ej)
+            # (i, j) is unique, so the lcm riding last is never compared
+            heapq.heappush(heap, (sum(l), key(l), i, j, l))
             pending.add((i, j))
 
     for g in sorted(gens, key=lambda p: key(p.leading_exps())):
-        r = normal_form(g, basis) if basis else g
+        r = normal_form(g, table) if entries else g
         if r:
-            basis.append(r.monic())
-            lms.append(r.leading_exps())
-            push_pairs(len(basis) - 1)
+            add(r)
 
     processed = 0
     while heap:
-        _, lkey, i, j = heapq.heappop(heap)
+        _, _, i, j, l = heapq.heappop(heap)
         pending.discard((i, j))
-        li, lj = lms[i], lms[j]
-        l = exps_lcm(li, lj)
+        mi, mj = entries[i][0], entries[j][0]
         # product criterion: coprime leading monomials
-        if all(a + b == m for a, b, m in zip(li, lj, l)):
+        if not mi & mj:
             continue
         # chain criterion: some k divides the lcm and both companion
-        # pairs were already treated
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not divides(lms[k], l):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 not in pending and p2 not in pending:
-                skip = True
-                break
-        if skip:
+        # pairs were already treated; the lcm's support is mi | mj
+        outside = ~(mi | mj)
+        if any(not mk & outside and k != i and k != j and divides(lk, l)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (mk, lk, _, _) in enumerate(entries)):
             continue
         processed += 1
         if processed > budget:
             raise BudgetExceeded(processed, budget)
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        r = normal_form(s_polynomial(entries[i][3], entries[j][3]), table)
         if r:
-            basis.append(r.monic())
-            lms.append(r.leading_exps())
-            push_pairs(len(basis) - 1)
+            add(r)
 
-    return _reduce_basis(ring, basis)
+    return _reduce_basis(table)
 
 
-def _reduce_basis(ring, basis: list[Polynomial]) -> tuple[Polynomial, ...]:
+def _reduce_basis(table: _Divisors) -> tuple[Polynomial, ...]:
+    ring = table.ring
     key = ring.order.key
     # minimal: ascending by leading monomial, keep only fresh leads
-    keep: list[Polynomial] = []
-    for g in sorted(basis, key=lambda p: key(p.leading_exps())):
-        lg = g.leading_exps()
-        if not any(divides(h.leading_exps(), lg) for h in keep):
-            keep.append(g)
-    # reduced: tail-reduce every survivor against the others
+    keep = _Divisors(ring)
+    for entry in sorted(table.entries, key=lambda t: key(t[1])):
+        outside = ~entry[0]
+        if not any(not mk & outside and divides(lk, entry[1])
+                   for mk, lk, _, _ in keep.entries):
+            keep.entries.append(entry)
+    if len(keep.entries) == 1:
+        return (keep.entries[0][3],)
+    # reduced: tail-reduce every survivor against the others. A head
+    # divides no smaller monomial, so no element ever reduces its own
+    # tail, and the whole table gives the same remainder as the others.
     out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others) if others else g
-        if r:
-            out.append(r.monic())
-    out.sort(key=lambda p: key(p.leading_exps()))
+    for _, _, _, g in keep.entries:
+        r = normal_form(Polynomial(ring, g.terms[1:]), keep)
+        out.append(Polynomial(ring, g.terms[:1] + r.terms))
     return tuple(out)
 
 
@@ -218,6 +257,8 @@ def saturate(a: Ideal, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET) -> Idea
     if not f:
         raise ValueError("cannot saturate by zero")
     ring = a.ring
+    if f.ring != ring:
+        raise ValueError("mismatched ambient rings")
     aux = "_w"
     while aux in ring.index:
         aux = "_" + aux

@@ -43,6 +43,24 @@ def test_present_invalid_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["present", "verify", "cones", "gitfan"])
+def test_size_above_cap_is_usage_error(command, monkeypatch, capsys):
+    import coxpres.cli as cli
+
+    def no_work(c, d):
+        raise AssertionError("parameters built past the size cap")
+
+    # the cap is checked before Params, so nothing is built or run
+    monkeypatch.setattr(cli.col, "Params", no_work)
+    d = cli.MAX_C_PLUS_D - 1
+    code = main([command, "--c", "2", "--d", str(d)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: c + d must be at most {cli.MAX_C_PLUS_D}, "
+                            f"got {cli.MAX_C_PLUS_D + 1}\n")
+
+
 def test_present_writes_file(tmp_path, capsys):
     out_path = tmp_path / "pres.json"
     code = main(["present", "--c", "3", "--d", "3", "--format", "json",

@@ -1,9 +1,13 @@
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxpres import groebner
 from coxpres.collineation import (Params, ambient_ring, cox_presentation,
                                   plucker_relations, plucker_ring,
                                   proof_ideals, segre_map)
@@ -11,7 +15,8 @@ from coxpres.groebner import (BudgetExceeded, Ideal, eliminate, groebner_basis,
                               ideal_equal, krull_dimension, normal_form,
                               s_polynomial, saturate, toric_kernel)
 from coxpres.intlinalg import IntMatrix
-from coxpres.polyring import LEX, PolyRing
+from coxpres.polyring import (GREVLEX, LEX, EliminationBlock, PolyRing,
+                              Polynomial, _merge, divides, exps_sub)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,103 @@ def test_normal_form_keeps_unreducible_terms():
     ring = PolyRing(("x", "y"))
     r = normal_form(ring.parse("x^2*y + y^2 + 1"), [ring.parse("x^2")])
     assert r == ring.parse("y^2 + 1")
+
+
+def reference_normal_form(f, basis):
+    """The division before divisor masks: a plain `divides` scan of the
+    basis for each head, taking the first divisor in basis order."""
+    ring = f.ring
+    key = ring.order.key
+    red = [(g.leading_exps(), g.leading_coeff(), g) for g in basis if g]
+    if len(red) != len(basis):
+        raise ValueError("zero polynomial in divisor list")
+    work = f.terms
+    rem = []
+    while work:
+        e, c = work[0]
+        hit = next(((le, lc, g) for le, lc, g in red if divides(le, e)), None)
+        if hit is None:
+            rem.append((e, c))
+            work = work[1:]
+            continue
+        le, lc, g = hit
+        work = _merge(key, work, g.term_mul(exps_sub(e, le), -c / lc).terms)
+    return Polynomial(ring, tuple(rem))
+
+
+def polys(ring, max_terms):
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.nvars),
+                     st.integers(-3, 3))
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda ts: ring.from_terms([(e, Fraction(c)) for e, c in ts]))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, EliminationBlock(2)],
+                         ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_reference(order, data):
+    ring = PolyRing(("w", "x", "y", "z"), order)
+    f = data.draw(polys(ring, 6))
+    basis = data.draw(st.lists(polys(ring, 3).filter(bool),
+                               min_size=1, max_size=4))
+    assert normal_form(f, basis) == reference_normal_form(f, basis)
+
+
+def test_normal_form_rejects_another_ring():
+    small, big = PolyRing(("x", "y")), PolyRing(("x", "y", "z"))
+    f = big.parse("x*y*z + z^2")
+    with pytest.raises(ValueError, match="mismatched ambient rings"):
+        normal_form(f, (small.parse("x*y"),))
+    with pytest.raises(ValueError, match="mismatched ambient rings"):
+        normal_form(small.parse("x*y"), (big.parse("x*y"),))
+    # also when f reaches a basis that was grown as a divisor table
+    gb = groebner_basis([big.parse("x*y - z")])
+    with pytest.raises(ValueError, match="mismatched ambient rings"):
+        normal_form(small.parse("x^2*y"), gb)
+
+
+def test_saturate_rejects_another_ring():
+    small, big = PolyRing(("x", "y")), PolyRing(("x", "y", "z"))
+    with pytest.raises(ValueError, match="mismatched ambient rings"):
+        saturate(Ideal(small, [small.parse("x*y")]), big.var("z"))
+
+
+def count_pairs(monkeypatch, run):
+    """S-pairs reduced and their zero remainders during `run()`."""
+    counts = {"spairs": 0, "zero": 0}
+    last = []
+    s_poly, nf = groebner.s_polynomial, groebner.normal_form
+
+    def counting_s_poly(f, g):
+        counts["spairs"] += 1
+        last[:] = [s_poly(f, g)]
+        return last[0]
+
+    def counting_nf(f, basis):
+        r = nf(f, basis)
+        if last and f is last[0]:
+            counts["zero"] += not r
+            last.clear()
+        return r
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "s_polynomial", counting_s_poly)
+        m.setattr(groebner, "normal_form", counting_nf)
+        run()
+    return counts
+
+
+def test_pair_sequence_pinned(pres33, monkeypatch):
+    # the counts of the plain-scan engine: the divisor masks and the lcm
+    # kept with each pair must not change which S-pairs are reduced
+    relations = list(pres33.relations)
+    assert count_pairs(monkeypatch, lambda: groebner_basis(
+        relations, pres33.ring)) == {"spairs": 75, "zero": 68}
+    ideal = Ideal(pres33.ring, relations)
+    tinf = pres33.ring.var("Tinf")
+    assert count_pairs(monkeypatch, lambda: saturate(ideal, tinf)) == {
+        "spairs": 150, "zero": 125}
 
 
 def test_factor_variable_not_in_ideal(ideal33):
