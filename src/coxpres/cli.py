@@ -42,6 +42,8 @@ class Config:
     def __post_init__(self):
         if self.budget <= 0:
             raise UsageError("budget must be positive")
+        if self.checks == []:
+            raise UsageError("--checks names no check")
 
 
 class UsageError(Exception):
@@ -109,9 +111,8 @@ def cmd_verify(cfg: Config) -> int:
 def cmd_cones(cfg: Config) -> int:
     p = _params(cfg)
     if p.regime != "general":
-        _emit(cfg, "the effective/movable cone description applies only for "
-                   "c > 2 and d > 2")
-        return 2
+        raise UsageError("the effective/movable cone description applies "
+                         "only for c > 2 and d > 2")
     _, qinf = col.weight_matrices(p)
     eff, mov = geo.mori_cones(qinf.columns())
     note = ("semiample cone equals the movable cone for these spaces "
@@ -210,7 +211,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                   file=sys.stderr)
             return 2
     checks = None
-    if getattr(args, "checks", None):
+    if getattr(args, "checks", None) is not None:
         checks = [s.strip() for s in args.checks.split(",") if s.strip()]
     try:
         cfg = Config(c=args.c, d=args.d, checks=checks, budget=budget,
@@ -223,7 +224,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         handler = {"present": cmd_present, "verify": cmd_verify,
                    "cones": cmd_cones, "gitfan": cmd_gitfan}[args.command]
         return handler(cfg)
-    except (ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

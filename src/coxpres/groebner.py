@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, kernel_basis
-from .polyring import (EliminationBlock, Polynomial, PolyRing, _merge,
-                       divides, exps_lcm, exps_sub)
+from .polyring import (GREVLEX, EliminationBlock, Packing, Polynomial,
+                       PolyRing, merge_rows)
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -29,81 +29,149 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _support_mask(e) -> int:
-    """Bit i set when variable i occurs in the monomial with exponents e."""
-    mask = 0
-    for i, x in enumerate(e):
-        if x:
-            mask |= 1 << i
-    return mask
+def _overflow(packing: Packing) -> ValueError:
+    return ValueError(f"exponent overflow: a monomial outgrew the "
+                      f"{packing.vbits}-bit packed fields")
+
+
+class _Packed:
+    """A polynomial in packed form: rows (key, packed exponents,
+    coefficient) of one packing, strictly descending by key."""
+
+    __slots__ = ("packing", "terms")
+
+    def __init__(self, packing: Packing, terms: list):
+        self.packing = packing
+        self.terms = terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def monic(self) -> "_Packed":
+        lc = self.terms[0][2]
+        if lc == 1:
+            return self
+        return _Packed(self.packing, [(k, d, c / lc) for k, d, c in self.terms])
+
+
+def _pack(packing: Packing, f: Polynomial) -> _Packed:
+    return _Packed(packing, packing.pack_terms(f.terms))
 
 
 class _Divisors:
     """Divisor table of a basis, in basis order.
 
-    One entry (mask, leading exps, leading coeff, polynomial) per element.
-    A leading monomial divides a monomial only if its support mask has no
-    bit outside the monomial's, so one AND rejects most candidates before
-    the exact `divides` (Roune-Stillman divisibility masks).
+    One entry (leading packed exponents, leading key, leading coeff, tail
+    rows, packed polynomial) per element. A leading monomial divides d
+    when d minus it has no guard bit set; for a d with a guard bit of its
+    own the test can miss, and `_reduce` then refuses the remainder.
     """
 
-    __slots__ = ("ring", "entries")
+    __slots__ = ("packing", "entries")
 
-    def __init__(self, ring: PolyRing, basis: Iterable[Polynomial] = ()):
-        self.ring = ring
+    def __init__(self, packing: Packing):
+        self.packing = packing
         self.entries: list = []
-        for g in basis:
-            self.add(g)
 
-    def add(self, g: Polynomial) -> None:
+    def add(self, g: _Packed) -> None:
         if not g:
             raise ValueError("zero polynomial in divisor list")
-        if g.ring != self.ring:
-            raise ValueError("mismatched ambient rings")
-        e, c = g.terms[0]
-        self.entries.append((_support_mask(e), e, c, g))
+        k, d, c = g.terms[0]
+        # the lcm of two leads must keep its degree below the modulus
+        if not self.packing.fits(d):
+            raise _overflow(self.packing)
+        self.entries.append((d, k, c, g.terms[1:], g))
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+def _shift(rows, k: int, d: int, c) -> list:
+    """The rows multiplied by the term with key k, exponents d, coeff c."""
+    if c == 1:
+        return [(tk + k, td + d, tc) for tk, td, tc in rows]
+    if c == -1:
+        return [(tk + k, td + d, -tc) for tk, td, tc in rows]
+    return [(tk + k, td + d, tc * c) for tk, td, tc in rows]
+
+
+def _reduce(work: list, table: _Divisors) -> list:
+    """Full remainder of packed rows on division by the table; each head
+    is divided by the first element whose leading term divides it."""
+    guard = table.packing.guard
+    entries = table.entries
+    rem: list = []
+    i = 0
+    while i < len(work):
+        k, d, c = work[i]
+        for entry in entries:
+            if not (d - entry[0]) & guard:
+                break
+        else:
+            i += 1
+            continue
+        # the shifted element's head cancels work[i] by construction
+        dl, kl, lc, tail, _ = entry
+        rem += work[:i]
+        q = -c if lc == 1 else -c / lc
+        work = merge_rows(work[i + 1:], _shift(tail, k - kl, d - dl, q))
+        i = 0
+    rem += work
+    # a guard bit on a kept term means a divisor test may have missed
+    for t in rem:
+        if t[1] & guard:
+            raise _overflow(table.packing)
+    return rem
+
+
+def normal_form(f: Polynomial | _Packed,
+                basis: Sequence[Polynomial] | _Divisors) -> Polynomial | _Packed:
     """Full remainder of f on division by `basis`.
 
     No term of the result is divisible by any leading term of the basis,
     and f minus the result lies in the ideal the basis generates. Each
     head is divided by the first basis element whose leading term
-    divides it.
+    divides it. Takes a Polynomial and a sequence of Polynomials, or
+    within `groebner_basis` a packed polynomial and its divisor table.
     """
-    ring = f.ring
     if isinstance(basis, _Divisors):
-        if ring != basis.ring:
-            raise ValueError("mismatched ambient rings")
-        table = basis
-    else:
-        table = _Divisors(ring, basis)
-    key = ring.order.key
-    entries = table.entries
-    work = f.terms
-    rem: list = []
-    while work:
-        e, c = work[0]
-        outside = ~_support_mask(e)
-        for mask, le, lc, g in entries:
-            if not mask & outside and divides(le, e):
-                break
-        else:
-            rem.append((e, c))
-            work = work[1:]
-            continue
-        # adding -(c/lc)·shift·g cancels the head by construction
-        work = _merge(key, work, g.term_mul(exps_sub(e, le), -c / lc).terms)
-    return Polynomial(ring, tuple(rem))
+        if f.packing is not basis.packing:
+            raise ValueError("mismatched packings")
+        return _Packed(f.packing, _reduce(f.terms, basis))
+    ring = f.ring
+    if any(g.ring != ring for g in basis):
+        raise ValueError("mismatched ambient rings")
+    packing = ring.packing([f, *basis])
+    table = _Divisors(packing)
+    for g in basis:
+        table.add(_pack(packing, g))
+    return Polynomial(ring, packing.unpack_terms(
+        _reduce(packing.pack_terms(f.terms), table)))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
-    l = exps_lcm(ef, eg)
-    return (f.term_mul(exps_sub(l, ef), 1 / cf)
-            - g.term_mul(exps_sub(l, eg), 1 / cg))
+def _spoly(f: _Packed, g: _Packed) -> _Packed:
+    """S-polynomial of two monic packed polynomials."""
+    packing = f.packing
+    (kf, df, _), (kg, dg, _) = f.terms[0], g.terms[0]
+    l = packing.lcm(df, dg)
+    kl = packing.key(l)
+    # the shifted heads cancel
+    return _Packed(packing, merge_rows(_shift(f.terms[1:], kl - kf, l - df, 1),
+                                       _shift(g.terms[1:], kl - kg, l - dg, -1)))
+
+
+def s_polynomial(f: Polynomial | _Packed,
+                 g: Polynomial | _Packed) -> Polynomial | _Packed:
+    """S-polynomial of two Polynomials, or of two packed polynomials of
+    one packing within `groebner_basis`."""
+    if isinstance(f, _Packed):
+        if f.packing is not g.packing:
+            raise ValueError("mismatched packings")
+        return _spoly(f.monic(), g.monic())
+    if f.ring != g.ring:
+        raise ValueError("mismatched ambient rings")
+    if not f or not g:
+        raise ValueError("zero polynomial has no leading term")
+    packing = f.ring.packing((f, g))
+    s = _spoly(_pack(packing, f).monic(), _pack(packing, g).monic())
+    return Polynomial(f.ring, packing.unpack_terms(s.terms))
 
 
 def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
@@ -112,7 +180,8 @@ def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
 
     Normal selection strategy (smallest lcm first) with the product and
     chain criteria; the result is monic, pairwise tail-reduced and unique
-    for the ring's order. Raises BudgetExceeded past `budget` S-pairs.
+    for the ring's order. Raises BudgetExceeded past `budget` S-pairs, and
+    ValueError if an exponent outgrows the packed fields.
     """
     gens = [g for g in gens if g]
     if ring is None:
@@ -123,24 +192,36 @@ def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
         raise ValueError("generators span several rings")
     if not gens:
         return ()
-    key = ring.order.key
+    packing = ring.packing(gens)
+    guard, lcm, key, degree = packing.guard, packing.lcm, packing.key, packing.degree
 
-    table = _Divisors(ring)
+    table = _Divisors(packing)
     entries = table.entries
+    leads: list[int] = []
     pending: set[tuple[int, int]] = set()
     heap: list = []
 
     def add(r):
         table.add(r.monic())
-        j = len(entries) - 1
-        ej = entries[j][1]
-        for i in range(j):
-            l = exps_lcm(entries[i][1], ej)
+        j = len(leads)
+        dj = entries[j][0]
+        for i, di in enumerate(leads):
+            l = lcm(di, dj)
             # (i, j) is unique, so the lcm riding last is never compared
-            heapq.heappush(heap, (sum(l), key(l), i, j, l))
+            heapq.heappush(heap, (degree(l), key(l), i, j, l))
             pending.add((i, j))
+        leads.append(dj)
 
-    for g in sorted(gens, key=lambda p: key(p.leading_exps())):
+    def chain(i, j, l):
+        # some k divides the lcm and both companion pairs were treated
+        for k, dk in enumerate(leads):
+            if (not (l - dk) & guard and k != i and k != j
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
+
+    for g in sorted((_pack(packing, g) for g in gens), key=lambda p: p.terms[0][0]):
         r = normal_form(g, table) if entries else g
         if r:
             add(r)
@@ -149,47 +230,37 @@ def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
     while heap:
         _, _, i, j, l = heapq.heappop(heap)
         pending.discard((i, j))
-        mi, mj = entries[i][0], entries[j][0]
         # product criterion: coprime leading monomials
-        if not mi & mj:
-            continue
-        # chain criterion: some k divides the lcm and both companion
-        # pairs were already treated; the lcm's support is mi | mj
-        outside = ~(mi | mj)
-        if any(not mk & outside and k != i and k != j and divides(lk, l)
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k, (mk, lk, _, _) in enumerate(entries)):
+        if l == leads[i] + leads[j] or chain(i, j, l):
             continue
         processed += 1
         if processed > budget:
             raise BudgetExceeded(processed, budget)
-        r = normal_form(s_polynomial(entries[i][3], entries[j][3]), table)
+        r = normal_form(s_polynomial(entries[i][4], entries[j][4]), table)
         if r:
             add(r)
 
-    return _reduce_basis(table)
+    return _reduce_basis(ring, table)
 
 
-def _reduce_basis(table: _Divisors) -> tuple[Polynomial, ...]:
-    ring = table.ring
-    key = ring.order.key
+def _reduce_basis(ring: PolyRing, table: _Divisors) -> tuple[Polynomial, ...]:
+    packing = table.packing
+    guard = packing.guard
     # minimal: ascending by leading monomial, keep only fresh leads
-    keep = _Divisors(ring)
-    for entry in sorted(table.entries, key=lambda t: key(t[1])):
-        outside = ~entry[0]
-        if not any(not mk & outside and divides(lk, entry[1])
-                   for mk, lk, _, _ in keep.entries):
+    keep = _Divisors(packing)
+    for entry in sorted(table.entries, key=lambda t: t[1]):
+        d = entry[0]
+        if not any(not (d - e[0]) & guard for e in keep.entries):
             keep.entries.append(entry)
     if len(keep.entries) == 1:
-        return (keep.entries[0][3],)
+        return (Polynomial(ring, packing.unpack_terms(keep.entries[0][4].terms)),)
     # reduced: tail-reduce every survivor against the others. A head
     # divides no smaller monomial, so no element ever reduces its own
     # tail, and the whole table gives the same remainder as the others.
     out = []
-    for _, _, _, g in keep.entries:
-        r = normal_form(Polynomial(ring, g.terms[1:]), keep)
-        out.append(Polynomial(ring, g.terms[:1] + r.terms))
+    for _, _, _, tail, g in keep.entries:
+        r = normal_form(_Packed(packing, tail), keep)
+        out.append(Polynomial(ring, packing.unpack_terms(g.terms[:1] + r.terms)))
     return tuple(out)
 
 
@@ -235,9 +306,9 @@ def eliminate(a: Ideal, k: int, budget: int = DEFAULT_PAIR_BUDGET) -> Ideal:
     """Intersect with the subring that omits the first k variables.
 
     The variables to eliminate must occupy the first k table positions.
-    The result lives in the smaller ring under the default grevlex order.
+    The result lives in the smaller ring under the default grevlex order,
+    with its reduced basis known.
     """
-    from .polyring import GREVLEX
     ring = a.ring
     if not 0 <= k <= ring.nvars:
         raise ValueError("bad elimination block size")
@@ -249,11 +320,23 @@ def eliminate(a: Ideal, k: int, budget: int = DEFAULT_PAIR_BUDGET) -> Ideal:
     for g in gb:
         if all(all(x == 0 for x in e[:k]) for e, _ in g.terms):
             kept.append(sub.from_terms([(e[k:], c) for e, c in g.terms]))
-    return Ideal(sub, kept)
+    return _with_basis(sub, kept)
+
+
+def _with_basis(ring: PolyRing, basis: list[Polynomial]) -> Ideal:
+    """The ideal of a reduced basis, cached as its own: the part of a
+    reduced elimination basis free of the eliminated variables is the
+    reduced basis of the elimination ideal under grevlex, which is what
+    EliminationBlock orders the remaining variables by."""
+    ideal = Ideal(ring, basis)
+    ideal._gb = ideal.gens
+    return ideal
 
 
 def saturate(a: Ideal, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET) -> Ideal:
-    """Saturation a : f^infinity via one auxiliary-variable elimination."""
+    """Saturation a : f^infinity via one auxiliary-variable elimination.
+
+    Under a grevlex ring the result comes with its reduced basis known."""
     if not f:
         raise ValueError("cannot saturate by zero")
     ring = a.ring
@@ -274,7 +357,7 @@ def saturate(a: Ideal, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET) -> Idea
     for g in gb:
         if all(e[0] == 0 for e, _ in g.terms):
             kept.append(ring.from_terms([(e[1:], c) for e, c in g.terms]))
-    return Ideal(ring, kept)
+    return _with_basis(ring, kept) if ring.order == GREVLEX else Ideal(ring, kept)
 
 
 def krull_dimension(a: Ideal, budget: int = DEFAULT_PAIR_BUDGET) -> int:
@@ -288,35 +371,38 @@ def krull_dimension(a: Ideal, budget: int = DEFAULT_PAIR_BUDGET) -> int:
     n = a.ring.nvars
     if len(gb) == 1 and sum(gb[0].leading_exps()) == 0:
         raise ValueError("empty variety")
-    supports = []
+    # support bitmasks of the leading monomials, minimal ones only
+    supports = set()
     for g in gb:
-        s = frozenset(i for i, x in enumerate(g.leading_exps()) if x)
-        supports.append(s)
-    # minimal supports only
-    supports = [s for s in supports
-                if not any(t < s for t in supports)]
-    supports = list(set(supports))
-    return n - _min_hitting_set(supports)
+        supports.add(sum(1 << i for i, x in enumerate(g.leading_exps()) if x))
+    minimal = [s for s in supports
+               if not any(t != s and not t & ~s for t in supports)]
+    return n - _min_hitting_set(minimal)
 
 
-def _min_hitting_set(sets: list[frozenset]) -> int:
-    """Smallest number of elements meeting every set (memoized search)."""
+def _min_hitting_set(sets: list[int]) -> int:
+    """Smallest number of elements meeting every set, each set a bitmask
+    (memoized search)."""
     return _hitting(frozenset(sets), {})
 
 
 def _hitting(remaining: frozenset, memo: dict) -> int:
     # A module-level function, not a closure over `memo`: a closure that
-    # calls itself is a reference cycle, which would keep the memo (about
-    # 21 MB at (4,4)) alive until the cyclic collector happens to run.
+    # calls itself is a reference cycle, which would keep the memo alive
+    # until the cyclic collector happens to run.
     if not remaining:
         return 0
     got = memo.get(remaining)
     if got is not None:
         return got
-    pivot = min(remaining, key=len)
-    out = min(1 + _hitting(frozenset(s for s in remaining if v not in s), memo)
-              for v in sorted(pivot))
-    memo[remaining] = out
+    # some element of the smallest set is in every hitting set
+    pivot = min(remaining, key=int.bit_count)
+    best = len(remaining)
+    while pivot:
+        bit = pivot & -pivot
+        pivot ^= bit
+        best = min(best, _hitting(frozenset([s for s in remaining if not s & bit]), memo))
+    memo[remaining] = out = 1 + best
     return out
 
 

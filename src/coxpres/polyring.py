@@ -3,6 +3,8 @@
 A ring fixes an ordered variable table and a monomial order; polynomials
 are immutable term tuples (exponent tuple, Fraction), sorted descending.
 Ring maps substitute a target polynomial for every source variable.
+Each order also packs exponent tuples into ints (`Packing`), the form
+the Buchberger engine computes in.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from .intlinalg import IntMatrix
 
 Exps = tuple[int, ...]
 Term = tuple[Exps, Fraction]
+
+# bits of growth a packed field allows above the inputs' largest total degree
+PACK_HEADROOM = 8
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +39,11 @@ class MonomialOrder:
     name = "order"
 
     def key(self, e: Exps):
+        raise NotImplementedError
+
+    def packing(self, nvars: int, vbits: int) -> "Packing":
+        """The packing of this order for `nvars` variables, each exponent
+        held in `vbits` bits below its field's guard bit."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -53,6 +64,14 @@ class Grevlex(MonomialOrder):
     def key(self, e: Exps):
         return (sum(e), tuple(-x for x in e))
 
+    def packing(self, nvars, vbits):
+        # var 0 in the top field: among equal degrees, a smaller packed
+        # value is the larger monomial
+        m = (1 << (vbits + 1)) - 1
+        top = nvars * (vbits + 1)
+        return Packing(vbits, range(nvars - 1, -1, -1),
+                       lambda d: ((d % m) << top) - d)
+
 
 class Lex(MonomialOrder):
     """Lexicographic; the last table variable is most significant."""
@@ -61,6 +80,10 @@ class Lex(MonomialOrder):
 
     def key(self, e: Exps):
         return tuple(reversed(e))
+
+    def packing(self, nvars, vbits):
+        # var n-1 in the top field: the packed value is the key
+        return Packing(vbits, range(nvars), lambda d: d)
 
 
 class EliminationBlock(MonomialOrder):
@@ -75,9 +98,102 @@ class EliminationBlock(MonomialOrder):
         head, tail = e[: self.block], e[self.block :]
         return (sum(head), tuple(-x for x in head), sum(tail), tuple(-x for x in tail))
 
+    def packing(self, nvars, vbits):
+        # the grevlex layout: the head block's fields sit above the tail's,
+        # and each block's grevlex key is its degree over its fields. The
+        # tail key is below 2**low, since a tail field never exceeds m.
+        w = vbits + 1
+        m = (1 << w) - 1
+        k = min(self.block, nvars)
+        t = nvars - k
+        hbits, tbits = k * w, t * w
+        low = tbits + w + t.bit_length()
+        tmask = (1 << tbits) - 1
+
+        def key(d):
+            h, tl = d >> tbits, d & tmask
+            return ((((h % m) << hbits) - h) << low) + ((tl % m) << tbits) - tl
+
+        return Packing(vbits, range(nvars - 1, -1, -1), key)
+
 
 GREVLEX = Grevlex()
 LEX = Lex()
+
+
+class Packing:
+    """Exponent tuples packed into ints, laid out for one monomial order.
+
+    Each variable owns a field of vbits + 1 bits whose top bit is a guard
+    bit; a packed value is guard-clear when every exponent is below
+    `half` = 2**vbits. Guard-clear values add without a carry between
+    fields, so a monomial product is one addition, and d1 divides d2
+    exactly when d2 - d1 has no guard bit set. `key(d)` is an int whose
+    order is the order's `key` order and which adds under products; it
+    reads degrees as d % (2**(vbits+1) - 1), exact while the degree is
+    below that modulus, which holds for the lcm of two `fits` values.
+    A packing remembers the exponent tuples it packs and unpacks, so that
+    equal monomials of its inputs and outputs share one tuple; unit
+    coefficients, most of those of a reduced basis, share one Fraction.
+    """
+
+    __slots__ = ("vbits", "half", "guard", "shifts", "fmask", "key", "_exps")
+
+    def __init__(self, vbits: int, fields: Iterable[int], key):
+        w = vbits + 1
+        self.vbits = vbits
+        self.half = 1 << vbits
+        self.fmask = (1 << w) - 1
+        self.shifts = tuple(f * w for f in fields)
+        self.guard = sum(self.half << s for s in self.shifts)
+        self.key = key
+        self._exps: dict[int, Exps] = {}
+
+    def pack(self, e: Exps) -> int:
+        """The packed value of a monomial of degree below `half`, the
+        monomials whose `key` the modulus reads right."""
+        if sum(e) >= self.half:
+            raise ValueError(f"degree {sum(e)} beyond {self.vbits}-bit packed fields")
+        return sum(x << s for x, s in zip(e, self.shifts))
+
+    def unpack(self, d: int) -> Exps:
+        # from a list, not a generator, for an exact-size tuple
+        fmask = self.fmask
+        return tuple([(d >> s) & fmask for s in self.shifts])
+
+    def degree(self, d: int) -> int:
+        return d % self.fmask
+
+    def fits(self, d: int) -> bool:
+        """Guard-clear with total degree below `half`."""
+        return not d & self.guard and sum(self.unpack(d)) < self.half
+
+    def lcm(self, a: int, b: int) -> int:
+        # the guard bit of each field of (a | guard) - b stays set where
+        # a's exponent is at least b's; spread it over the field below
+        g = ((a | self.guard) - b) & self.guard
+        g -= g >> self.vbits
+        return (a & g) | (b & ~g)
+
+    def pack_terms(self, terms: Iterable[Term]) -> list:
+        """(key, packed exponents, coefficient) rows of a term list."""
+        key, pack, seen = self.key, self.pack, self._exps
+        rows = []
+        for e, c in terms:
+            d = pack(e)
+            seen[d] = e
+            rows.append((key(d), d, c))
+        return rows
+
+    def unpack_terms(self, rows) -> tuple[Term, ...]:
+        seen, unpack = self._exps, self.unpack
+        out = []
+        for _, d, c in rows:
+            e = seen.get(d)
+            if e is None:
+                e = seen[d] = unpack(d)
+            out.append((e, _ONE if c == 1 else _MINUS_ONE if c == -1 else c))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +224,13 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({len(self.names)} vars, {self.order!r})"
+
+    def packing(self, polys: Iterable["Polynomial"]) -> Packing:
+        """The order's packing whose fields hold every monomial of `polys`
+        with PACK_HEADROOM bits to spare; a field's width is set by the
+        largest total degree, which bounds every exponent."""
+        top = max((sum(e) for p in polys for e, _ in p.terms), default=0)
+        return self.order.packing(self.nvars, top.bit_length() + PACK_HEADROOM)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -374,8 +497,40 @@ class Polynomial:
     __repr__ = __str__
 
 
+def merge_rows(a, b) -> list:
+    """Sum of two term lists sorted strictly descending by their first
+    field, a key that determines the monomial; rows are (key, monomial,
+    coefficient), and the result is descending with no zero term."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ra, rb = a[i], b[j]
+        ka, kb = ra[0], rb[0]
+        if ka == kb:
+            c = ra[2] + rb[2]
+            if c:
+                out.append((ka, ra[1], c))
+            i += 1
+            j += 1
+        elif ka > kb:
+            out.append(ra)
+            i += 1
+        else:
+            out.append(rb)
+            j += 1
+    out += a[i:]
+    out += b[j:]
+    return out
+
+
 def _merge(key, a: tuple[Term, ...], b: tuple[Term, ...]) -> tuple[Term, ...]:
-    """Sum of two descending term lists, descending with no zero terms."""
+    """Sum of two descending term lists, descending with no zero terms.
+
+    The same merge as `merge_rows`, for (exps, coeff) terms: it calls
+    `key` only where two heads differ, so adding a short polynomial to a
+    long one computes no key past the short one's last term.
+    """
     out = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -405,10 +560,6 @@ def divides(e1: Exps, e2: Exps) -> bool:
 
 def exps_sub(e1: Exps, e2: Exps) -> Exps:
     return tuple(a - b for a, b in zip(e1, e2))
-
-
-def exps_lcm(e1: Exps, e2: Exps) -> Exps:
-    return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
 # ---------------------------------------------------------------------------

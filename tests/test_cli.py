@@ -127,9 +127,33 @@ def test_cones_output(capsys):
 
 
 def test_cones_refuses_degenerate(capsys):
-    code, out = run_cli(capsys, "cones", "--c", "2", "--d", "3")
+    code = main(["cones", "--c", "2", "--d", "3"])
     assert code == 2
-    assert "c > 2" in out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "c > 2" in captured.err
+
+
+def test_cones_degenerate_writes_no_output(tmp_path, capsys):
+    # neither stdout under --format json nor the --out file gets the message
+    assert main(["cones", "--c", "2", "--d", "3", "--format", "json"]) == 2
+    out_path = tmp_path / "cones.json"
+    assert main(["cones", "--c", "2", "--d", "3", "--format", "json",
+                 "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 2 and captured.err.count("\n") == 2
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("selection", [",", "", " , "])
+def test_verify_empty_check_selection_is_usage_error(selection, capsys):
+    code = main(["verify", "--c", "3", "--d", "3", "--checks", selection])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --checks names no check\n"
 
 
 def test_gitfan_output(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxpres import groebner
+from coxpres import groebner, polyring
 from coxpres.collineation import (Params, ambient_ring, cox_presentation,
                                   plucker_relations, plucker_ring,
                                   proof_ideals, segre_map)
@@ -143,6 +143,9 @@ def test_pair_sequence_pinned(pres33, monkeypatch):
     tinf = pres33.ring.var("Tinf")
     assert count_pairs(monkeypatch, lambda: saturate(ideal, tinf)) == {
         "spairs": 150, "zero": 125}
+    pres34 = cox_presentation(Params(3, 4))
+    assert count_pairs(monkeypatch, lambda: groebner_basis(
+        list(pres34.relations), pres34.ring)) == {"spairs": 367, "zero": 342}
 
 
 def test_factor_variable_not_in_ideal(ideal33):
@@ -329,6 +332,81 @@ def test_membership_of_random_combinations(ideal33):
                                  rng.randint(-3, 3))
             f = f + mult * g
         assert ideal33.contains(f)
+
+
+def test_exponent_past_headroom_raises(monkeypatch):
+    # under lex, y - x^2 turns y^2 - 1 into x^4 - 1: exponent 4 needs one
+    # bit more than the inputs' largest degree, 2
+    ring = PolyRing(("x", "y"), LEX)
+    gens = [ring.parse("y - x^2"), ring.parse("y^2 - 1")]
+    assert set(groebner_basis(gens)) == {ring.parse("x^4 - 1"),
+                                         ring.parse("y - x^2")}
+    # grevlex: no exponent passes 3, but basis leads reach degree 5, and
+    # the keys read the degree of an lcm modulo 2**3 - 1; unchecked, this
+    # run returned a 9-element basis instead of the 7-element one
+    ring4 = PolyRing(("w", "x", "y", "z"))
+    gens4 = [ring4.parse("w^2*x - w*y*z"), ring4.parse("x*z^2 - w*z^2"),
+             ring4.parse("w*y*z + y")]
+    assert len(groebner_basis(gens4)) == 7
+    monkeypatch.setattr(polyring, "PACK_HEADROOM", 0)
+    for g in (gens, gens4):
+        with pytest.raises(ValueError, match="exponent overflow"):
+            groebner_basis(g)
+    with pytest.raises(ValueError, match="exponent overflow"):
+        normal_form(ring.parse("y^2"), [ring.parse("y - x^2")])
+
+
+def test_eliminate_and_saturate_keep_their_basis(ideal33):
+    tinf = ideal33.ring.var("Tinf")
+    for out in (saturate(ideal33, tinf), eliminate(ideal33, 2)):
+        assert out.ring.order == GREVLEX
+        assert out.groebner() == groebner_basis(out.gens, out.ring)
+        assert out.groebner() == out.gens
+
+
+def test_saturate_under_lex_recomputes_its_basis():
+    # the kept part of the elimination basis is the grevlex basis, which
+    # here is not the lex one
+    ring = PolyRing(("x", "y", "z"), LEX)
+    ideal = Ideal(ring, [ring.parse("x*z^2 - x*y"), ring.parse("x*y^2 - x*z")])
+    sat = saturate(ideal, ring.var("x"))
+    expected = groebner_basis([ring.parse("z^2 - y"), ring.parse("y^2 - z")])
+    assert sat.gens != expected
+    assert sat.groebner() == expected
+
+
+def reference_min_hitting_set(sets):
+    """The search before bitmasks, on frozensets of frozensets."""
+    return _reference_hitting(frozenset(sets), {})
+
+
+def _reference_hitting(remaining, memo):
+    if not remaining:
+        return 0
+    got = memo.get(remaining)
+    if got is not None:
+        return got
+    pivot = min(remaining, key=len)
+    out = min(1 + _reference_hitting(
+        frozenset(s for s in remaining if v not in s), memo) for v in sorted(pivot))
+    memo[remaining] = out
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports=st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=3),
+                         min_size=1, max_size=9))
+def test_hitting_set_matches_reference(supports):
+    sets = [frozenset(s) for s in supports]
+    masks = [sum(1 << i for i in s) for s in supports]
+    assert groebner._min_hitting_set(masks) == reference_min_hitting_set(sets)
+    # through krull_dimension: the leads of a squarefree monomial ideal's
+    # basis are its minimal generators
+    ring = PolyRing(tuple(f"x{i}" for i in range(7)))
+    gens = [ring.monomial({f"x{i}": 1 for i in s}) for s in supports]
+    minimal = {s for s in sets if not any(t < s for t in sets)}
+    assert (krull_dimension(Ideal(ring, gens))
+            == 7 - reference_min_hitting_set(list(minimal)))
 
 
 def test_pair_budget_guard(pres33):

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxpres.collineation import (Params, cox_presentation, pullback_map,
                                   segre_map, weight_matrices)
 from coxpres.intlinalg import IntMatrix
 from coxpres.polyring import (GREVLEX, LEX, EliminationBlock, Grading,
-                              PolyRing, RingMap, multidegree)
+                              PolyRing, RingMap, divides, multidegree)
 
 
 @pytest.fixture
@@ -130,3 +132,95 @@ def test_evaluate():
     f = ring.parse("x^2*y - 2*y + 7")
     assert f.evaluate({"x": Fraction(2), "y": Fraction(3)}) == 12 - 6 + 7
     assert f.evaluate({}) == 7
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+PACK_ORDERS = [GREVLEX, LEX, EliminationBlock(2)]
+NPACK = 5
+
+
+@st.composite
+def fitting_exps(draw, vbits):
+    """Exponent tuples whose total degree is below 2**vbits, the monomials
+    a packing holds as basis leads."""
+    e = draw(st.lists(st.integers(0, (1 << vbits) - 1), min_size=NPACK,
+                      max_size=NPACK))
+    while sum(e) >= 1 << vbits:
+        e[e.index(max(e))] -= 1
+    return tuple(e)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_key_order_matches_order_key(order, data):
+    vbits = data.draw(st.integers(1, 4))
+    a, b, c = (data.draw(fitting_exps(vbits)) for _ in range(3))
+    pk = order.packing(NPACK, vbits)
+    key = order.key
+    da, db, dc = (pk.pack(e) for e in (a, b, c))
+    assert _sign(pk.key(da) - pk.key(db)) == _sign(
+        (key(a) > key(b)) - (key(a) < key(b)))
+    # keys add under products, and products keep the order
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert pk.key(da) + pk.key(db) == pk.key(da + db)
+    kab, kc = pk.key(da) + pk.key(db), pk.key(dc)
+    assert _sign(kab - kc) == _sign((key(ab) > key(c)) - (key(ab) < key(c)))
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_summed_keys_order_any_carry_free_monomial(order, data):
+    # reduction shifts keys by differences, so any monomial whose fields
+    # stay below 2**(vbits+1) gets the sum of its variables' keys
+    vbits = data.draw(st.integers(1, 4))
+    pk = order.packing(NPACK, vbits)
+    units = [pk.key(pk.pack(tuple(int(i == j) for j in range(NPACK))))
+             for i in range(NPACK)]
+    exps = st.tuples(*[st.integers(0, 2 * pk.half - 1)] * NPACK)
+    a, b = data.draw(exps), data.draw(exps)
+    # a's first two exponents swapped and the rest at their largest: the
+    # same degree in the first block, where the second must not outweigh it
+    c = (a[1], a[0]) + (2 * pk.half - 1,) * (NPACK - 2)
+    key = order.key
+    for x, y in ((a, b), (a, c)):
+        kx, ky = (sum(n * u for n, u in zip(e, units)) for e in (x, y))
+        assert _sign(kx - ky) == _sign((key(x) > key(y)) - (key(x) < key(y)))
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_divides_and_lcm_match_tuples(order, data):
+    vbits = data.draw(st.integers(1, 4))
+    a, b, c = (data.draw(fitting_exps(vbits)) for _ in range(3))
+    pk = order.packing(NPACK, vbits)
+    da, db, dc = (pk.pack(e) for e in (a, b, c))
+    assert (not (db - da) & pk.guard) == divides(a, b)
+    assert pk.unpack(pk.lcm(da, db)) == tuple(max(x, y) for x, y in zip(a, b))
+    # a product may set guard bits, but a passed test is never wrong
+    if not (db + dc - da) & pk.guard:
+        assert divides(a, tuple(x + y for x, y in zip(b, c)))
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pack_unpack_round_trip(order, data):
+    vbits = data.draw(st.integers(0, 4))
+    e = data.draw(fitting_exps(vbits))
+    pk = order.packing(NPACK, vbits)
+    d = pk.pack(e)
+    assert pk.fits(d)
+    assert pk.unpack(d) == e
+    assert pk.unpack_terms(pk.pack_terms([(e, Fraction(3))])) == ((e, 3),)
+    with pytest.raises(ValueError, match="packed fields"):
+        pk.pack(e[:-1] + (e[-1] + (1 << vbits) - sum(e),))
