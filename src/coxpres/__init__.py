@@ -17,7 +17,7 @@ from .geometry import (Cone, Fan, GalePair, barycenter_direction,
                        git_fan, mori_cones, stellar_subdivide)
 from .groebner import (BudgetExceeded, Ideal, eliminate, groebner_basis,
                        ideal_equal, krull_dimension, normal_form, saturate,
-                       toric_kernel)
+                       toric_kernel, weighted_basis)
 from .intlinalg import IntMatrix, hermite_normal_form, kernel_basis, rank
 from .polyring import Grading, MonomialOrder, Polynomial, PolyRing, RingMap, \
     multidegree
@@ -32,7 +32,7 @@ __all__ = [
     "local_equation_invariance", "mori_cones", "multidegree", "normal_form",
     "plucker_relations", "proof_ideals", "pullback_and_cancel", "rank",
     "saturate", "segre_map", "stellar_subdivide", "toric_kernel",
-    "weight_matrices", "witness_points",
+    "weight_matrices", "weighted_basis", "witness_points",
 ]
 
 __version__ = "0.1.0"

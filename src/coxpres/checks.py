@@ -16,10 +16,10 @@ from typing import Callable, Iterable, Optional
 
 from . import collineation as col
 from . import geometry as geo
-from .groebner import BudgetExceeded, DEFAULT_PAIR_BUDGET, Ideal, ideal_equal, \
-    krull_dimension, normal_form, saturate, toric_kernel
-from .intlinalg import kernel_basis, rank, row_space_hnf
-from .polyring import multidegree
+from .groebner import BudgetExceeded, DEFAULT_PAIR_BUDGET, Ideal, \
+    krull_dimension, monomial_dimension, normal_form, weighted_basis
+from .intlinalg import IntMatrix, kernel_basis, rank, row_space_hnf
+from .polyring import Polynomial, RingMap, multidegree
 
 
 class Skip(Exception):
@@ -286,46 +286,145 @@ def check_degenerate(p: col.Params, budget: int):
     return expected, actual
 
 
-def check_dimension(p: col.Params, budget: int):
+class _TinfBasis:
+    """The reduced basis of the relations at one cell under the weights
+    2*row1 + row2 + row3 of the degree matrix (2, 2, 1 on the plus, zero
+    and minus blocks, 1 on Tinf) with Tinf smallest, built with its
+    presentation on first use. `run_checks` shares one among the checks
+    of a call; a BudgetExceeded is kept and raised to every later caller."""
+
+    def __init__(self, p: col.Params, budget: int):
+        self.p = p
+        self.budget = budget
+        self._basis: Optional[tuple[Polynomial, ...]] = None
+        self._error: Optional[BudgetExceeded] = None
+
+    def basis(self) -> tuple[Polynomial, ...]:
+        """Its elements live in the grevlex ring with Tinf at table
+        position 0 (see `weighted_basis`)."""
+        if self._error is not None:
+            raise self._error
+        if self._basis is None:
+            pres = col.cox_presentation(self.p)
+            weights = [2 * a + b + c for a, b, c in pres.grading.matrix.columns()]
+            try:
+                self._basis = weighted_basis(Ideal(pres.ring, pres.relations),
+                                             weights, col.TINF, self.budget)
+            except BudgetExceeded as e:
+                self._error = e
+                raise
+        return self._basis
+
+
+def _saturated(basis: tuple[Polynomial, ...]) -> bool:
+    """Bayer's criterion on a `weighted_basis`: the ideal is saturated by
+    the variable at table position 0 when no leading term contains it."""
+    return not any(g.leading_exps()[0] for g in basis)
+
+
+def check_dimension(p: col.Params, budget: int, tinf: Optional[_TinfBasis] = None):
     _require_general(p)
-    pres = col.cox_presentation(p)
-    ring = pres.ring
-    i_ideal = Ideal(ring, pres.relations)
-    j_ideal = Ideal(ring, pres.relations + (ring.var(col.TINF),))
+    if tinf is None:
+        tinf = _TinfBasis(p, budget)
+    basis = tinf.basis()
+    leads = [g.leading_exps() for g in basis]
+    n = basis[0].ring.nvars
     pi = col.proof_ideals(p)
     bp_ideal = Ideal(pi.b_prime_ring, pi.b_prime)
     m = p.c + p.d
     expected = {"dim_j": 2 * m - 3, "dim_i": 2 * m - 2,
                 "dim_first_block": 2 * p.c - 1}
-    actual = {"dim_j": krull_dimension(j_ideal, budget),
-              "dim_i": krull_dimension(i_ideal, budget),
+    # in(I + (Tinf)) = in(I) + (Tinf), Tinf at table position 0
+    actual = {"dim_j": monomial_dimension(n, leads + [(1,) + (0,) * (n - 1)]),
+              "dim_i": monomial_dimension(n, leads),
               "dim_first_block": krull_dimension(bp_ideal, budget)}
     return expected, actual
 
 
-def check_saturation(p: col.Params, budget: int):
+def check_saturation(p: col.Params, budget: int, tinf: Optional[_TinfBasis] = None):
     _require_general(p)
-    pres = col.cox_presentation(p)
-    ring = pres.ring
-    i_ideal = Ideal(ring, pres.relations)
-    tinf = ring.var(col.TINF)
-    sat = saturate(i_ideal, tinf, budget)
+    if tinf is None:
+        tinf = _TinfBasis(p, budget)
+    basis = tinf.basis()
+    # Tinf has weight 1, so it is its own image in the basis ring
+    tinf_var = basis[0].ring.var(col.TINF)
     expected = {"saturation_is_identity": True, "factor_var_outside": True}
-    actual = {"saturation_is_identity": ideal_equal(sat, i_ideal, budget),
-              "factor_var_outside":
-                  bool(normal_form(tinf, i_ideal.groebner(budget)))}
+    actual = {"saturation_is_identity": _saturated(basis),
+              "factor_var_outside": bool(normal_form(tinf_var, basis))}
     return expected, actual
 
 
 def check_torickernel(p: col.Params, budget: int):
     _require_general(p)
     pi = col.proof_ideals(p)
-    sigma = col.segre_map(p)
-    kernel = toric_kernel(sigma.exponent_matrix(), ring=col.ambient_ring(p),
-                          budget=budget)
-    g_ideal = Ideal(col.ambient_ring(p), pi.g)
+    e = col.segre_map(p).exponent_matrix()
     return ({"kernel_equals_binomials": True},
-            {"kernel_equals_binomials": ideal_equal(kernel, g_ideal, budget)})
+            {"kernel_equals_binomials": _is_toric_kernel(p, pi.g, e, budget)})
+
+
+def _is_toric_kernel(p: col.Params, gens: tuple[Polynomial, ...], e: IntMatrix,
+                     budget: int) -> bool:
+    """Whether (gens) is the kernel of the monomial map with exponent
+    matrix e, certified without computing the kernel.
+
+    The kernel is the lattice ideal of L = ker_Z(e), and a binomial ideal
+    whose exponent differences span L and which is saturated by every
+    variable is that ideal (Sturmfels, Groebner Bases and Convex
+    Polytopes, Lemma 12.2; Eisenbud and Sturmfels, Binomial ideals, 1996).
+    So: gens are pure-difference binomials, their differences span L (one
+    Hermite normal form each), and (gens) : x**inf = (gens) for every
+    variable x they touch, by Bayer's criterion under the column sums of
+    e as weights, one x per orbit of `_orbit_representatives`. A variable
+    gens do not touch is a nonzerodivisor modulo (gens).
+    """
+    diffs = []
+    for g in gens:
+        if len(g.terms) != 2 or g.terms[0][1] + g.terms[1][1]:
+            return False
+        diffs.append([a - b for a, b in zip(g.terms[0][0], g.terms[1][0])])
+    if row_space_hnf(IntMatrix.from_rows(diffs)) != row_space_hnf(kernel_basis(e)):
+        return False
+    ideal = Ideal(col.ambient_ring(p), gens)
+    weights = [sum(column) for column in e.columns()]
+    return all(_saturated(weighted_basis(ideal, weights, ideal.ring.names[i], budget))
+               for i in _orbit_representatives(p, gens))
+
+
+def _orbit_representatives(p: col.Params, gens: tuple[Polynomial, ...]) -> list[int]:
+    """One variable per orbit of the variables gens touch, under the
+    adjacent index transpositions of S_c x S_d that map gens to +-gens.
+
+    Such a transposition is a ring automorphism that fixes (gens), so
+    (gens) is saturated by a variable exactly when it is saturated by the
+    variable's image. A transposition that moves gens elsewhere is not
+    used, so a non-invariant gens falls into smaller orbits.
+    """
+    ring = col.ambient_ring(p)
+    pairs = col.block_pairs(p)
+    targets = set(gens)
+    perms = []
+    for a in [*range(1, p.c), *range(p.c + 1, p.c + p.d)]:
+        swap = {a: a + 1, a + 1: a}
+        perm = [ring.index[col.pair_name(*sorted((swap.get(i, i), swap.get(j, j))))]
+                for i, j in pairs]
+        sigma = RingMap(ring, ring, [ring.var(ring.names[k]) for k in perm])
+        if all(sigma(g) in targets or -sigma(g) in targets for g in gens):
+            perms.append(perm)
+    seen: set[int] = set()
+    reps = []
+    for v in sorted(set().union(*(g.support_vars() for g in gens))):
+        if v in seen:
+            continue
+        reps.append(v)
+        seen.add(v)
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for perm in perms:
+                if perm[u] not in seen:
+                    seen.add(perm[u])
+                    stack.append(perm[u])
+    return reps
 
 
 CHECKS: dict[str, Callable] = {
@@ -346,8 +445,12 @@ CHECKS: dict[str, Callable] = {
 
 GROEBNER_CHECKS = frozenset({"dimension", "saturation", "torickernel"})
 
-# default cut-off: Groebner-heavy checks run only up to (c,d) = (3,4)
-GROEBNER_DEFAULT_MAX = 7
+# default cut-off: the Groebner checks run by default while c + d <= 10,
+# through (5,5), where each takes under a second
+GROEBNER_DEFAULT_MAX = 10
+
+# the checks that read the Tinf-weighted basis, shared within a call
+_TINF_BASIS_CHECKS = (check_dimension, check_saturation)
 
 
 def default_check_ids(p: col.Params) -> list[str]:
@@ -368,12 +471,16 @@ def run_checks(p: col.Params, ids: Optional[Iterable[str]] = None,
         unknown = [i for i in selected if i not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    params = col.Params(p.c, p.d)
+    # lives for this call only: each call builds its own basis
+    tinf = _TinfBasis(params, budget)
     results = []
     for check_id in selected:
         fn = CHECKS[check_id]
+        args = (params, budget, tinf) if fn in _TINF_BASIS_CHECKS else (params, budget)
         t0 = time.perf_counter()
         try:
-            expected, actual = fn(col.Params(p.c, p.d), budget)
+            expected, actual = fn(*args)
             status = "pass" if expected == actual else "fail"
         except Skip as s:
             status, expected, actual = "skipped", None, str(s)

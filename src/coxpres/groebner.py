@@ -367,43 +367,114 @@ def krull_dimension(a: Ideal, budget: int = DEFAULT_PAIR_BUDGET) -> int:
     term ideal: no leading monomial of the reduced basis may be supported
     inside the chosen variable set.
     """
-    gb = a.groebner(budget)
-    n = a.ring.nvars
-    if len(gb) == 1 and sum(gb[0].leading_exps()) == 0:
+    return monomial_dimension(a.ring.nvars,
+                              [g.leading_exps() for g in a.groebner(budget)])
+
+
+def monomial_dimension(nvars: int, exps: Iterable[Sequence[int]]) -> int:
+    """Dimension of the zero set of the monomial ideal generated by the
+    monomials with exponent vectors `exps` in `nvars` variables: nvars
+    minus the fewest variables that meet every support (Kredel and
+    Weispfenning, J. Symbolic Comput. 6, 1988). A leading term ideal has
+    the dimension of its ideal, under any monomial order."""
+    supports = [sum(1 << i for i, x in enumerate(e) if x) for e in exps]
+    if 0 in supports:
         raise ValueError("empty variety")
-    # support bitmasks of the leading monomials, minimal ones only
-    supports = set()
-    for g in gb:
-        supports.add(sum(1 << i for i, x in enumerate(g.leading_exps()) if x))
-    minimal = [s for s in supports
-               if not any(t != s and not t & ~s for t in supports)]
-    return n - _min_hitting_set(minimal)
+    return nvars - _min_hitting_set(supports)
 
 
 def _min_hitting_set(sets: list[int]) -> int:
-    """Smallest number of elements meeting every set, each set a bitmask
-    (memoized search)."""
-    return _hitting(frozenset(sets), {})
+    """Smallest number of elements meeting every set, each set a nonzero
+    bitmask (branch and bound over the minimal sets)."""
+    sets = _minimal(sets)
+    return _hitting(sets, len(sets))
 
 
-def _hitting(remaining: frozenset, memo: dict) -> int:
-    # A module-level function, not a closure over `memo`: a closure that
-    # calls itself is a reference cycle, which would keep the memo alive
-    # until the cyclic collector happens to run.
-    if not remaining:
-        return 0
-    got = memo.get(remaining)
-    if got is not None:
-        return got
-    # some element of the smallest set is in every hitting set
-    pivot = min(remaining, key=int.bit_count)
-    best = len(remaining)
-    while pivot:
-        bit = pivot & -pivot
-        pivot ^= bit
-        best = min(best, _hitting(frozenset([s for s in remaining if not s & bit]), memo))
-    memo[remaining] = out = 1 + best
+def _minimal(sets: Iterable[int]) -> list[int]:
+    """The sets that contain no other set of the family, each once."""
+    out: list[int] = []
+    for s in sorted(set(sets), key=int.bit_count):
+        if all(t & ~s for t in out):
+            out.append(s)
     return out
+
+
+def _hitting(sets: list[int], bound: int) -> int:
+    """min(bound, smallest hitting set) of a family of minimal sets.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep its frames alive until the
+    cyclic collector happens to run.
+    """
+    # the element of a singleton is in every hitting set
+    forced = 0
+    while True:
+        single = 0
+        for s in sets:
+            if not s & (s - 1):
+                single |= s
+        if not single:
+            break
+        forced += single.bit_count()
+        sets = [s for s in sets if not s & single]
+    if not sets or forced >= bound:
+        return min(forced, bound)
+    # pairwise disjoint sets each need an element of their own
+    used = packed = 0
+    for s in sorted(sets, key=int.bit_count):
+        if not s & used:
+            used |= s
+            packed += 1
+    if forced + packed >= bound:
+        return bound
+    union = 0
+    for s in sets:
+        union |= s
+    bit, most = 0, 0
+    while union:
+        b = union & -union
+        union ^= b
+        k = sum(1 for s in sets if s & b)
+        if k > most:
+            bit, most = b, k
+    # take the most frequent element, or drop it from every set; no set
+    # is a singleton now, so none becomes empty
+    rest = bound - forced
+    best = 1 + _hitting([s for s in sets if not s & bit], rest - 1)
+    best = _hitting(_minimal([s & ~bit for s in sets]), best)
+    return forced + best
+
+
+def weighted_basis(a: Ideal, weights: Sequence[int], var: str,
+                   budget: int = DEFAULT_PAIR_BUDGET) -> tuple[Polynomial, ...]:
+    """Reduced basis of a w-homogeneous ideal under the w-weighted grevlex
+    order with `var` smallest, given as its image under x_i -> x_i**w_i.
+
+    The image lives in the grevlex ring of the same names with `var` moved
+    to table position 0, the grevlex-smallest place; the substitution keeps
+    both the order and divisibility, so Buchberger on the image is the
+    weighted computation. Bayer's criterion (Bayer 1982; Eisenbud,
+    Commutative Algebra, Prop. 15.12) reads off the result: a : var**inf
+    equals a exactly when no leading term contains `var`, and
+    in(a + (var)) = in(a) + (var). Raises ValueError unless every weight is
+    positive and every generator is w-homogeneous, which the criterion
+    needs.
+    """
+    ring = a.ring
+    if len(weights) != ring.nvars or any(w < 1 for w in weights):
+        raise ValueError("need one positive weight per variable")
+    if var not in ring.index:
+        raise ValueError(f"unknown variable {var!r}")
+    v = ring.index[var]
+    perm = [v] + [i for i in range(ring.nvars) if i != v]
+    image = PolyRing(tuple(ring.names[i] for i in perm), GREVLEX)
+    gens = []
+    for g in a.gens:
+        if len({sum(w * x for w, x in zip(weights, e)) for e, _ in g.terms}) > 1:
+            raise ValueError(f"generator not homogeneous for the weights: {g}")
+        gens.append(image.from_terms(
+            [(tuple(e[i] * weights[i] for i in perm), c) for e, c in g.terms]))
+    return groebner_basis(gens, image, budget=budget)
 
 
 def toric_kernel(e: IntMatrix, ring: Optional[PolyRing] = None,

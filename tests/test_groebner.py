@@ -13,7 +13,8 @@ from coxpres.collineation import (Params, ambient_ring, cox_presentation,
                                   proof_ideals, segre_map)
 from coxpres.groebner import (BudgetExceeded, Ideal, eliminate, groebner_basis,
                               ideal_equal, krull_dimension, normal_form,
-                              s_polynomial, saturate, toric_kernel)
+                              s_polynomial, saturate, toric_kernel,
+                              weighted_basis)
 from coxpres.intlinalg import IntMatrix
 from coxpres.polyring import (GREVLEX, LEX, EliminationBlock, PolyRing,
                               Polynomial, _merge, divides, exps_sub)
@@ -407,6 +408,73 @@ def test_hitting_set_matches_reference(supports):
     minimal = {s for s in sets if not any(t < s for t in sets)}
     assert (krull_dimension(Ideal(ring, gens))
             == 7 - reference_min_hitting_set(list(minimal)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(supports=st.lists(st.sets(st.integers(0, 13), min_size=1, max_size=4),
+                         min_size=1, max_size=20))
+def test_hitting_set_matches_reference_wide(supports):
+    masks = [sum(1 << i for i in s) for s in supports]
+    assert groebner._min_hitting_set(masks) == reference_min_hitting_set(
+        [frozenset(s) for s in supports])
+
+
+@st.composite
+def weighted_ideals(draw):
+    """Ideals of 1 to 3 generators in 3 to 5 variables, each generator
+    homogeneous for weights drawn from 1 to 3."""
+    n = draw(st.integers(3, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 5))
+        monomials = [e for e in itertools.product(range(degree + 1), repeat=n)
+                     if sum(w * x for w, x in zip(weights, e)) == degree]
+        if not monomials:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monomials), min_size=1,
+                               max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-2, 2).filter(bool),
+                               min_size=len(chosen), max_size=len(chosen)))
+        gens.append(ring.from_terms([(e, Fraction(c))
+                                     for e, c in zip(chosen, coeffs)]))
+    return Ideal(ring, gens), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_ideals())
+def test_bayer_criterion_matches_elimination(case):
+    ideal, weights = case
+    ring = ideal.ring
+    for var in ring.names:
+        basis = weighted_basis(ideal, weights, var)
+        bayer = not any(g.leading_exps()[0] for g in basis)
+        assert bayer == ideal_equal(saturate(ideal, ring.var(var)), ideal)
+
+
+def test_weighted_basis_is_the_image_of_the_weighted_basis():
+    # weights (1, 2): x^2 - y is homogeneous, and in the image ring y
+    # (moved first, so smallest) reads y^2
+    ring = PolyRing(("x", "y"))
+    basis = weighted_basis(Ideal(ring, [ring.parse("x^2 - y")]), [1, 2], "y")
+    (g,) = basis
+    assert g.ring.names == ("y", "x")
+    assert g == g.ring.parse("x^2 - y^2")
+
+
+def test_weighted_basis_refuses_bad_input():
+    ring = PolyRing(("x", "y", "z"))
+    ideal = Ideal(ring, [ring.parse("x*y - z")])
+    with pytest.raises(ValueError, match="homogeneous"):
+        weighted_basis(ideal, [1, 1, 1], "z")
+    assert weighted_basis(ideal, [1, 1, 2], "z")
+    with pytest.raises(ValueError, match="positive weight"):
+        weighted_basis(ideal, [1, 1, 0], "z")
+    with pytest.raises(ValueError, match="positive weight"):
+        weighted_basis(ideal, [1, 1], "z")
+    with pytest.raises(ValueError, match="unknown variable"):
+        weighted_basis(ideal, [1, 1, 2], "w")
 
 
 def test_pair_budget_guard(pres33):
