@@ -140,15 +140,12 @@ def cmd_gitfan(cfg: Config) -> int:
     p = _params(cfg)
     q, _ = col.weight_matrices(p)
     fan = geo.git_fan(q)
-    x1, x2, w1, w2 = col.witness_points(p)
-    res1 = col.plucker_residuals(p, x1)
-    res2 = col.plucker_residuals(p, x2)
     witnesses = []
-    for x, w, res in ((x1, w1, res1), (x2, w2, res2)):
+    for x, res in col.witness_residuals(p):
         witnesses.append({
             "coordinates": {col.pair_name(i, j): str(v) for (i, j), v in x.coords},
             "residuals_all_zero": all(r == 0 for r in res),
-            "orbit_cone": ser.cone_to_obj(w),
+            "orbit_cone": ser.cone_to_obj(col.orbit_cone(p, x)),
         })
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({

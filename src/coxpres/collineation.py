@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .geometry import Cone
 from .intlinalg import IntMatrix
@@ -481,10 +481,14 @@ class WitnessPoint:
         return {pair_name(i, j): v for (i, j), v in self.coords}
 
 
-def plucker_residuals(p: Params, point: WitnessPoint) -> list[Fraction]:
-    ring = ambient_ring(p)
+def plucker_residuals(p: Params, point: WitnessPoint,
+                      relations: Optional[Sequence[Polynomial]] = None) -> list[Fraction]:
+    """Values of the Pluecker relations at `point`; pass `relations` to
+    reuse relations already built over `ambient_ring(p)`."""
+    if relations is None:
+        relations = plucker_relations(p.c + p.d, ambient_ring(p))
     vals = point.values_by_name()
-    return [f.evaluate(vals) for f in plucker_relations(p.c + p.d, ring)]
+    return [f.evaluate(vals) for f in relations]
 
 
 def orbit_cone(p: Params, point: WitnessPoint) -> Cone:
@@ -495,14 +499,21 @@ def orbit_cone(p: Params, point: WitnessPoint) -> Cone:
     return Cone.from_generators(2, cols)
 
 
+def witness_residuals(p: Params) -> tuple[tuple[WitnessPoint, list[Fraction]], ...]:
+    """The two witness points, each with its Pluecker residuals; the
+    relations are built once and each point is evaluated once."""
+    m = p.c + p.d
+    relations = plucker_relations(m, ambient_ring(p))
+    points = (WitnessPoint.of({(1, 2): 1, (1, m): 1}),
+              WitnessPoint.of({(1, m): 1, (m - 1, m): 1}))
+    return tuple((x, plucker_residuals(p, x, relations)) for x in points)
+
+
 def witness_points(p: Params) -> tuple[WitnessPoint, WitnessPoint, Cone, Cone]:
     """Two points on the Grassmannian cone whose orbit cones realize the
     two full chambers of the weight matrix."""
-    m = p.c + p.d
-    x1 = WitnessPoint.of({(1, 2): 1, (1, m): 1})
-    x2 = WitnessPoint.of({(1, m): 1, (m - 1, m): 1})
-    for x in (x1, x2):
-        res = plucker_residuals(p, x)
+    (x1, res1), (x2, res2) = witness_residuals(p)
+    for x, res in ((x1, res1), (x2, res2)):
         if any(r != 0 for r in res):
             raise RuntimeError(
                 f"witness point {x} violates a Pluecker relation: construction bug")

@@ -4,7 +4,9 @@ Cones are given by integer ray generators; membership and intersection are
 decided exactly (linear solves for simplicial cones, Fourier-Motzkin
 otherwise). Chamber fans of 2-row weight matrices are computed by angular
 sorting; quotient-fan combinatorics route through the rank-2 Gale
-criterion, so the high-dimensional fans never need facet systems.
+criterion, so the high-dimensional fans never need facet systems. The
+criterion itself is decided on the 2-row weight matrix by integer cross and
+dot products, without building a `Cone`.
 """
 
 from __future__ import annotations
@@ -198,7 +200,9 @@ def _membership(ambient: int, gens: Sequence[Vec], v, strict: bool) -> bool:
     if not gens:
         return _is_zero(v)
     if _is_zero(v):
-        return not strict
+        # 0 is in the relative interior exactly when the cone is a subspace
+        return not strict or all(
+            _membership(ambient, gens, tuple(-x for x in g), False) for g in gens)
     if rank(IntMatrix.from_rows(gens)) == len(gens):
         sol = _solve_coeffs(gens, v)
         if sol is None:
@@ -394,12 +398,36 @@ def gale_cone_test(pair: GalePair, w, removed: Iterable[int]) -> bool:
     """Does dropping `removed` columns of P span a quotient-fan cone?
 
     By Gale duality this holds exactly when w lies in the relative
-    interior of the cone over the removed columns of Q.
+    interior of the cone C over the removed columns of Q. Q must have 2
+    rows. After zero and repeated columns are dropped, an empty set gives
+    C = 0, whose relative interior is {0}. Otherwise the dual cone of C is
+    generated by those of rot(g), -rot(g) and g, over the kept columns g,
+    that are >= 0 on every column, and w is in the relative interior when
+    each of them is > 0 at w, or = 0 at w if it vanishes on every column.
     """
     q = pair.q
-    idx = sorted(set(removed))
-    cone = Cone.from_generators(q.rows, [q.col(j) for j in idx])
-    return cone.contains(w, relative_interior=True)
+    if q.rows != 2:
+        raise ValueError("the rank-2 Gale criterion needs a 2-row weight matrix")
+    w = tuple(w)
+    if len(w) != 2:
+        raise ValueError("dimension mismatch")
+    top, bottom = q.entries
+    cols: list[Vec] = []
+    for j in removed:
+        g = (top[j], bottom[j])
+        if g != (0, 0) and g not in cols:
+            cols.append(g)
+    if not cols:
+        return w == (0, 0)
+    for gx, gy in cols:
+        for hx, hy in ((-gy, gx), (gy, -gx), (gx, gy)):
+            dots = [hx * x + hy * y for x, y in cols]
+            if min(dots) < 0:
+                continue
+            hw = hx * w[0] + hy * w[1]
+            if hw < 0 or (hw == 0 and max(dots) > 0):
+                return False
+    return True
 
 
 def stellar_subdivide(fan: Fan, target: Iterable[int], new_ray: Sequence[int]) -> Fan:

@@ -1,6 +1,7 @@
 import itertools
 import pytest
 
+from coxpres import checks, collineation
 from coxpres.collineation import (Params, TINF, WitnessPoint,
                                   block_pairs, cox_presentation,
                                   expected_sigma_image, gale_matrix_P,
@@ -328,6 +329,46 @@ def test_witness_points_vanish_and_span_chambers():
         assert all(r == 0 for r in plucker_residuals(p, x2))
         assert w1 == Cone.from_generators(2, [(1, 1), (1, 0)])
         assert w2 == Cone.from_generators(2, [(1, 0), (1, -1)])
+
+
+class _CountingPoly:
+    def __init__(self, poly, log):
+        self.poly, self.log = poly, log
+
+    def evaluate(self, values):
+        self.log.append(self.poly)
+        return self.poly.evaluate(values)
+
+
+def test_gitfan_builds_the_relations_once_and_evaluates_each_point_once(monkeypatch):
+    p = Params(3, 3)
+    built, evaluated = [], []
+
+    def counting_relations(m, ring=None):
+        built.append(m)
+        return [_CountingPoly(f, evaluated) for f in plucker_relations(m, ring)]
+
+    monkeypatch.setattr(collineation, "plucker_relations", counting_relations)
+    expected, actual = checks.check_gitfan(p, 0)
+    assert actual == expected
+    assert built == [6]
+    assert len(evaluated) == 2 * comb(6, 4)
+
+
+def test_gitfan_residuals_come_from_an_evaluation(monkeypatch):
+    # one extra relation that the witness points do not satisfy
+    p = Params(3, 3)
+
+    def with_bad_relation(m, ring=None):
+        rels = plucker_relations(m, ring)
+        return rels + [rels[0].ring.var(pair_name(1, m))]
+
+    monkeypatch.setattr(collineation, "plucker_relations", with_bad_relation)
+    expected, actual = checks.check_gitfan(p, 0)
+    assert expected["witness_residuals_zero"]
+    assert not actual["witness_residuals_zero"]
+    with pytest.raises(RuntimeError, match="construction bug"):
+        witness_points(p)
 
 
 def test_orbit_cone_of_custom_point():

@@ -40,6 +40,18 @@ def test_membership_zero_cone():
     assert not cone_membership(z, (1, 0), "closed")
 
 
+@pytest.mark.parametrize("gens,zero_inside", [
+    ([(1, 0), (-1, 0)], True),            # a line
+    ([(1, 0), (0, 1), (-1, -1)], True),   # the plane
+    ([(1, 0), (0, 1), (-1, 0)], False),   # a half-plane
+    ([(1, 0), (1, 1)], False),            # a pointed cone
+])
+def test_membership_zero_in_relative_interior_of_subspaces(gens, zero_inside):
+    c = Cone.from_generators(2, gens)
+    assert cone_membership(c, (0, 0), "closed")
+    assert cone_membership(c, (0, 0), "relative-interior") == zero_inside
+
+
 def test_membership_non_simplicial():
     c = Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)))
     assert c.contains((1, 1, 1))
@@ -208,6 +220,30 @@ def test_gale_exhaustive_counts(gale33):
                if gale_cone_test(gale, (2, -1), pair))
     assert acc1 == 36
     assert acc2 == 36
+
+
+def reference_gale_test(q, w, removed):
+    cone = Cone.from_generators(2, [q.col(j) for j in set(removed)])
+    return cone.contains(w, relative_interior=True)
+
+
+@pytest.mark.parametrize("c,d", [(3, 3), (3, 4), (2, 5), (5, 2), (4, 5)])
+def test_gale_closed_form_matches_cone_route(c, d):
+    p = Params(c, d)
+    q, _ = weight_matrices(p)
+    gale = GalePair(gale_matrix_P(p), q)
+    for w in ((2, 1), (2, -1)):
+        pairs = list(itertools.combinations(range(p.n), 2))
+        fast = {pair for pair in pairs if gale_cone_test(gale, w, pair)}
+        slow = {pair for pair in pairs if reference_gale_test(q, w, pair)}
+        assert fast == slow
+
+
+def test_gale_needs_two_rows():
+    q = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+    gale = GalePair(IntMatrix.from_rows([[1, 1, -1]]), q)
+    with pytest.raises(ValueError, match="2-row"):
+        gale_cone_test(gale, (1, 1, 1), (0, 1))
 
 
 # the degenerate regimes c = 2 and d = 2, and asymmetric general cells

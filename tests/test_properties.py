@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxpres.geometry import git_fan, stellar_subdivide
+from coxpres.geometry import (Cone, GalePair, gale_cone_test, git_fan,
+                              stellar_subdivide)
 from coxpres.groebner import (BudgetExceeded, Ideal, groebner_basis,
                               normal_form, saturate, toric_kernel)
 from coxpres.intlinalg import (IntMatrix, hermite_normal_form, kernel_basis,
@@ -232,3 +233,43 @@ def test_hnf_and_kernel_invariants(rows, cols, data):
     assert rank(m) + kb.rows == cols
     if kb.rows:
         assert (m @ kb.transpose()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# closed-form Gale test against the general cone route
+
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def gale_cases(draw):
+    """A 2-row Q (zero, parallel and antiparallel columns drawn on
+    purpose), a `removed` list of 0-4 indices with repeats, and a w that is
+    0 about a fifth of the time."""
+    cols = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["free", "zero", "multiple"]))
+        if kind == "zero" or (kind == "multiple" and not cols):
+            col = (0, 0) if kind == "zero" else (draw(SMALL), draw(SMALL))
+        elif kind == "multiple":
+            base = draw(st.sampled_from(cols))
+            k = draw(st.sampled_from([-3, -2, -1, 2, 3]))
+            col = (k * base[0], k * base[1])
+        else:
+            col = (draw(SMALL), draw(SMALL))
+        cols.append(col)
+    q = IntMatrix.from_cols(cols)
+    removed = draw(st.lists(st.integers(0, len(cols) - 1), max_size=4))
+    w = draw(st.one_of(st.just((0, 0)), st.tuples(SMALL, SMALL)))
+    return q, removed, w
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=gale_cases())
+def test_gale_closed_form_matches_cone_contains(case):
+    q, removed, w = case
+    gale = GalePair(IntMatrix.from_rows([[0] * q.cols]), q)
+    cone = Cone.from_generators(2, [q.col(j) for j in removed])
+    assert gale_cone_test(gale, w, removed) == cone.contains(
+        w, relative_interior=True)
