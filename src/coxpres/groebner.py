@@ -2,13 +2,17 @@
 
 Normal forms, reduced Groebner bases, ideal equality, elimination,
 saturation, Krull dimension and toric (lattice) kernels of monomial maps.
-All computations are exact over the rationals and deterministic.
+All computations are exact over the rationals and deterministic. The
+Buchberger core computes on integer coefficients: a packed polynomial is
+integer rows over one common denominator, and Fractions appear only where
+Polynomials are packed and unpacked.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, kernel_basis
@@ -35,34 +39,49 @@ def _overflow(packing: Packing) -> ValueError:
 
 
 class _Packed:
-    """A polynomial in packed form: rows (key, packed exponents,
-    coefficient) of one packing, strictly descending by key."""
+    """A polynomial in packed form: rows (key, packed exponents, integer
+    coefficient) of one packing, strictly descending by key, standing for
+    the rows divided by the nonzero integer `den`."""
 
-    __slots__ = ("packing", "terms")
+    __slots__ = ("packing", "terms", "den")
 
-    def __init__(self, packing: Packing, terms: list):
+    def __init__(self, packing: Packing, terms: list, den: int = 1):
         self.packing = packing
         self.terms = terms
+        self.den = den
 
     def __bool__(self):
         return bool(self.terms)
 
-    def monic(self) -> "_Packed":
-        lc = self.terms[0][2]
-        if lc == 1:
-            return self
-        return _Packed(self.packing, [(k, d, c / lc) for k, d, c in self.terms])
-
 
 def _pack(packing: Packing, f: Polynomial) -> _Packed:
-    return _Packed(packing, packing.pack_terms(f.terms))
+    """f with its denominators cleared: integer rows over their lcm."""
+    den = lcm(*[c.denominator for _, c in f.terms])
+    return _Packed(packing, packing.pack_terms(
+        [(e, c.numerator * (den // c.denominator)) for e, c in f.terms]), den)
+
+
+def _unpack(ring: PolyRing, f: _Packed) -> Polynomial:
+    return Polynomial(ring, f.packing.unpack_terms(f.terms, f.den))
+
+
+def _primitive(rows: list) -> list:
+    """The rows divided by the gcd of their coefficients, signed so that
+    the leading coefficient is positive."""
+    g = gcd(*[c for _, _, c in rows])
+    if rows[0][2] < 0:
+        g = -g
+    if g == 1:
+        return rows
+    return [(k, d, c // g) for k, d, c in rows]
 
 
 class _Divisors:
     """Divisor table of a basis, in basis order.
 
     One entry (leading packed exponents, leading key, leading coeff, tail
-    rows, packed polynomial) per element. A leading monomial divides d
+    rows, packed polynomial) per element, each element kept in primitive
+    form, which generates the same ideal. A leading monomial divides d
     when d minus it has no guard bit set; for a d with a guard bit of its
     own the test can miss, and `_reduce` then refuses the remainder.
     """
@@ -76,14 +95,15 @@ class _Divisors:
     def add(self, g: _Packed) -> None:
         if not g:
             raise ValueError("zero polynomial in divisor list")
-        k, d, c = g.terms[0]
+        rows = _primitive(g.terms)
+        k, d, c = rows[0]
         # the lcm of two leads must keep its degree below the modulus
         if not self.packing.fits(d):
             raise _overflow(self.packing)
-        self.entries.append((d, k, c, g.terms[1:], g))
+        self.entries.append((d, k, c, rows[1:], _Packed(self.packing, rows)))
 
 
-def _shift(rows, k: int, d: int, c) -> list:
+def _shift(rows, k: int, d: int, c: int) -> list:
     """The rows multiplied by the term with key k, exponents d, coeff c."""
     if c == 1:
         return [(tk + k, td + d, tc) for tk, td, tc in rows]
@@ -92,12 +112,23 @@ def _shift(rows, k: int, d: int, c) -> list:
     return [(tk + k, td + d, tc * c) for tk, td, tc in rows]
 
 
-def _reduce(work: list, table: _Divisors) -> list:
-    """Full remainder of packed rows on division by the table; each head
-    is divided by the first element whose leading term divides it."""
+def _scale(rows, m: int) -> list:
+    return [(k, d, c * m) for k, d, c in rows]
+
+
+def _reduce(work: list, table: _Divisors) -> tuple[list, int]:
+    """(r, m) with r equal to m times the full remainder of packed rows on
+    division by the table, m >= 1; each head is divided by the first
+    element whose leading term divides it.
+
+    A head c*x^d over a lead lc*x^dl, with g = gcd(c, lc), turns the work
+    into (lc/g)*work - (c/g)*x^(d-dl)*element: a multiple of the rational
+    step, so the heads, and with them the divisor choices, are the same.
+    """
     guard = table.packing.guard
     entries = table.entries
     rem: list = []
+    m = 1
     i = 0
     while i < len(work):
         k, d, c = work[i]
@@ -110,15 +141,27 @@ def _reduce(work: list, table: _Divisors) -> list:
         # the shifted element's head cancels work[i] by construction
         dl, kl, lc, tail, _ = entry
         rem += work[:i]
-        q = -c if lc == 1 else -c / lc
-        work = merge_rows(work[i + 1:], _shift(tail, k - kl, d - dl, q))
+        rest = work[i + 1:]
+        if lc != 1:
+            g = gcd(c, lc)
+            if g != lc:
+                m *= lc // g
+                rem = _scale(rem, lc // g)
+                rest = _scale(rest, lc // g)
+            c //= g
+        work = merge_rows(rest, _shift(tail, k - kl, d - dl, -c))
         i = 0
     rem += work
     # a guard bit on a kept term means a divisor test may have missed
     for t in rem:
         if t[1] & guard:
             raise _overflow(table.packing)
-    return rem
+    return rem, m
+
+
+def _remainder(f: _Packed, table: _Divisors) -> _Packed:
+    rows, m = _reduce(f.terms, table)
+    return _Packed(f.packing, rows, f.den * m)
 
 
 def normal_form(f: Polynomial | _Packed,
@@ -128,13 +171,15 @@ def normal_form(f: Polynomial | _Packed,
     No term of the result is divisible by any leading term of the basis,
     and f minus the result lies in the ideal the basis generates. Each
     head is divided by the first basis element whose leading term
-    divides it. Takes a Polynomial and a sequence of Polynomials, or
-    within `groebner_basis` a packed polynomial and its divisor table.
+    divides it. The division runs on integer coefficients, and the
+    result is the exact remainder of f, not a multiple of it. Takes a
+    Polynomial and a sequence of Polynomials, or within `groebner_basis`
+    a packed polynomial and its divisor table.
     """
     if isinstance(basis, _Divisors):
         if f.packing is not basis.packing:
             raise ValueError("mismatched packings")
-        return _Packed(f.packing, _reduce(f.terms, basis))
+        return _remainder(f, basis)
     ring = f.ring
     if any(g.ring != ring for g in basis):
         raise ValueError("mismatched ambient rings")
@@ -142,36 +187,37 @@ def normal_form(f: Polynomial | _Packed,
     table = _Divisors(packing)
     for g in basis:
         table.add(_pack(packing, g))
-    return Polynomial(ring, packing.unpack_terms(
-        _reduce(packing.pack_terms(f.terms), table)))
+    return _unpack(ring, _remainder(_pack(packing, f), table))
 
 
 def _spoly(f: _Packed, g: _Packed) -> _Packed:
-    """S-polynomial of two monic packed polynomials."""
+    """S-polynomial of the monic forms of two packed polynomials."""
     packing = f.packing
-    (kf, df, _), (kg, dg, _) = f.terms[0], g.terms[0]
+    (kf, df, cf), (kg, dg, cg) = f.terms[0], g.terms[0]
     l = packing.lcm(df, dg)
     kl = packing.key(l)
-    # the shifted heads cancel
-    return _Packed(packing, merge_rows(_shift(f.terms[1:], kl - kf, l - df, 1),
-                                       _shift(g.terms[1:], kl - kg, l - dg, -1)))
+    # (cg/h)*x^(l-df)*f - (cf/h)*x^(l-dg)*g: the heads cancel, and the
+    # result is cf*cg/h times the S-polynomial of the monic forms
+    h = gcd(cf, cg)
+    return _Packed(packing, merge_rows(_shift(f.terms[1:], kl - kf, l - df, cg // h),
+                                       _shift(g.terms[1:], kl - kg, l - dg, -cf // h)),
+                   cf * cg // h)
 
 
 def s_polynomial(f: Polynomial | _Packed,
                  g: Polynomial | _Packed) -> Polynomial | _Packed:
-    """S-polynomial of two Polynomials, or of two packed polynomials of
-    one packing within `groebner_basis`."""
+    """Monic S-polynomial of two Polynomials, or of two packed
+    polynomials of one packing within `groebner_basis`."""
     if isinstance(f, _Packed):
         if f.packing is not g.packing:
             raise ValueError("mismatched packings")
-        return _spoly(f.monic(), g.monic())
+        return _spoly(f, g)
     if f.ring != g.ring:
         raise ValueError("mismatched ambient rings")
     if not f or not g:
         raise ValueError("zero polynomial has no leading term")
     packing = f.ring.packing((f, g))
-    s = _spoly(_pack(packing, f).monic(), _pack(packing, g).monic())
-    return Polynomial(f.ring, packing.unpack_terms(s.terms))
+    return _unpack(f.ring, _spoly(_pack(packing, f), _pack(packing, g)))
 
 
 def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
@@ -202,7 +248,7 @@ def groebner_basis(gens: Iterable[Polynomial], ring: Optional[PolyRing] = None,
     heap: list = []
 
     def add(r):
-        table.add(r.monic())
+        table.add(r)
         j = len(leads)
         dj = entries[j][0]
         for i, di in enumerate(leads):
@@ -253,14 +299,17 @@ def _reduce_basis(ring: PolyRing, table: _Divisors) -> tuple[Polynomial, ...]:
         if not any(not (d - e[0]) & guard for e in keep.entries):
             keep.entries.append(entry)
     if len(keep.entries) == 1:
-        return (Polynomial(ring, packing.unpack_terms(keep.entries[0][4].terms)),)
+        return (_unpack(ring, _Packed(packing, keep.entries[0][4].terms,
+                                      keep.entries[0][2])),)
     # reduced: tail-reduce every survivor against the others. A head
     # divides no smaller monomial, so no element ever reduces its own
     # tail, and the whole table gives the same remainder as the others.
+    # The monic element is x^d plus the tail's remainder over lc.
     out = []
-    for _, _, _, tail, g in keep.entries:
+    for d, k, lc, tail, _ in keep.entries:
         r = normal_form(_Packed(packing, tail), keep)
-        out.append(Polynomial(ring, packing.unpack_terms(g.terms[:1] + r.terms)))
+        out.append(Polynomial(ring, packing.unpack_terms([(k, d, 1)])
+                              + packing.unpack_terms(r.terms, lc * r.den)))
     return tuple(out)
 
 
@@ -483,7 +532,12 @@ def toric_kernel(e: IntMatrix, ring: Optional[PolyRing] = None,
 
     Column j of `e` is the exponent vector of the image of source
     variable j. The result is the lattice ideal: binomials from a kernel
-    basis, saturated by every source variable in turn.
+    basis, saturated by every source variable in turn, with its reduced
+    basis known. When every column sum w_j is positive the binomials are
+    w-homogeneous, and each saturation is one weighted basis read by
+    Bayer's criterion (Sturmfels, Groebner Bases and Convex Polytopes,
+    Alg. 12.3; Hosten and Sturmfels, IPCO 1995); otherwise each is an
+    elimination (`saturate`).
     """
     m = e.cols
     if ring is None:
@@ -500,6 +554,33 @@ def toric_kernel(e: IntMatrix, ring: Optional[PolyRing] = None,
     if not ideal.gens:
         return ideal
     touched = sorted({i for g in ideal.gens for i in g.support_vars()})
+    weights = [sum(col) for col in e.columns()]
+    if min(weights) < 1:
+        for i in touched:
+            ideal = saturate(ideal, ring.var(ring.names[i]), budget=budget)
+        return ideal
     for i in touched:
-        ideal = saturate(ideal, ring.var(ring.names[i]), budget=budget)
-    return ideal
+        ideal = Ideal(ring, _saturate_weighted(ideal, weights, i, budget))
+    return _with_basis(ring, list(groebner_basis(ideal.gens, ring, budget=budget)))
+
+
+def _saturate_weighted(a: Ideal, weights: Sequence[int], i: int,
+                       budget: int) -> list[Polynomial]:
+    """Generators of a : x_i**inf for a w-homogeneous ideal: the weighted
+    basis with x_i smallest, each element divided by its largest power of
+    x_i and mapped back to the ring of `a`."""
+    ring = a.ring
+    out = []
+    for g in weighted_basis(a, weights, ring.names[i], budget=budget):
+        # the image ring puts x_i first and keeps the other names in order
+        src = [ring.index[n] for n in g.ring.names]
+        low = min(x[0] for x, _ in g.terms)
+        terms = []
+        for x, c in g.terms:
+            y = [0] * ring.nvars
+            for p, j in enumerate(src):
+                y[j] = x[p] // weights[j]
+            y[i] -= low // weights[i]
+            terms.append((tuple(y), c))
+        out.append(ring.from_terms(terms))
+    return out

@@ -135,6 +135,8 @@ class Packing:
     A packing remembers the exponent tuples it packs and unpacks, so that
     equal monomials of its inputs and outputs share one tuple; unit
     coefficients, most of those of a reduced basis, share one Fraction.
+    Rows carry whatever coefficients they are given; the Buchberger core
+    gives them integers.
     """
 
     __slots__ = ("vbits", "half", "guard", "shifts", "fmask", "key", "_exps")
@@ -185,14 +187,16 @@ class Packing:
             rows.append((key(d), d, c))
         return rows
 
-    def unpack_terms(self, rows) -> tuple[Term, ...]:
+    def unpack_terms(self, rows, den: int = 1) -> tuple[Term, ...]:
+        """The terms of rows whose coefficients are divided by `den`."""
         seen, unpack = self._exps, self.unpack
         out = []
         for _, d, c in rows:
             e = seen.get(d)
             if e is None:
                 e = seen[d] = unpack(d)
-            out.append((e, _ONE if c == 1 else _MINUS_ONE if c == -1 else c))
+            out.append((e, _ONE if c == den else _MINUS_ONE if c == -den
+                        else Fraction(c, den)))
         return tuple(out)
 
 
@@ -459,12 +463,17 @@ class Polynomial:
 
     def evaluate(self, values: dict[str, Fraction]) -> Fraction:
         """Evaluate at a point; unlisted variables count as zero."""
-        vals = [Fraction(values.get(n, 0)) for n in self.ring.names]
+        # only the variables some term uses are looked up and converted
+        names = self.ring.names
+        vals: list = [None] * len(names)
         out = Fraction(0)
         for e, c in self.terms:
             t = c
-            for v, k in zip(vals, e):
+            for i, k in enumerate(e):
                 if k:
+                    v = vals[i]
+                    if v is None:
+                        v = vals[i] = Fraction(values.get(names[i], 0))
                     if v == 0:
                         t = Fraction(0)
                         break

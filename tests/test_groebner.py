@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxpres import groebner, polyring
@@ -15,7 +15,7 @@ from coxpres.groebner import (BudgetExceeded, Ideal, eliminate, groebner_basis,
                               ideal_equal, krull_dimension, normal_form,
                               s_polynomial, saturate, toric_kernel,
                               weighted_basis)
-from coxpres.intlinalg import IntMatrix
+from coxpres.intlinalg import IntMatrix, kernel_basis
 from coxpres.polyring import (GREVLEX, LEX, EliminationBlock, PolyRing,
                               Polynomial, _merge, divides, exps_sub)
 
@@ -88,6 +88,37 @@ def test_normal_form_matches_reference(order, data):
     basis = data.draw(st.lists(polys(ring, 3).filter(bool),
                                min_size=1, max_size=4))
     assert normal_form(f, basis) == reference_normal_form(f, basis)
+
+
+def rational_polys(ring, max_terms):
+    # denominators up to 7 (3/2, -5/7, ...), so that the integer division
+    # rescales rows and tracks the scale of its remainder
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.nvars), coeff)
+    return st.lists(term, min_size=1, max_size=max_terms).map(ring.from_terms)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, EliminationBlock(2)],
+                         ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_reference_on_rational_coefficients(order, data):
+    ring = PolyRing(("w", "x", "y", "z"), order)
+    f = data.draw(rational_polys(ring, 6))
+    basis = data.draw(st.lists(rational_polys(ring, 3).filter(bool),
+                               min_size=1, max_size=4))
+    assert normal_form(f, basis) == reference_normal_form(f, basis)
+
+
+def test_normal_form_is_the_exact_remainder():
+    # x > y: x^2 - (x/2 - 3y/4)(2x + 3y) = 9/4 y^2, not a multiple of it
+    ring = PolyRing(("y", "x"))
+    r = normal_form(ring.parse("x^2"), [ring.parse("2*x + 3*y")])
+    assert r == ring.monomial({"y": 2}, Fraction(9, 4))
+    f = ring.from_terms([((0, 2), Fraction(3, 2)), ((1, 0), Fraction(-5, 7))])
+    r = normal_form(f, [ring.parse("2*x + 3*y")])
+    assert r == ring.from_terms([((2, 0), Fraction(27, 8)),
+                                 ((1, 0), Fraction(-5, 7))])
 
 
 def test_normal_form_rejects_another_ring():
@@ -322,6 +353,81 @@ def test_toric_kernel_matches_binomial_generators():
     assert ideal_equal(kernel, Ideal(ambient_ring(p), pi.g))
 
 
+def elimination_toric_kernel(e, ring, budget=groebner.DEFAULT_PAIR_BUDGET):
+    """The lattice ideal by the elimination route: the kernel-basis
+    binomials saturated by each variable they touch through `saturate`."""
+    gens = []
+    for row in kernel_basis(e).entries:
+        plus = tuple(max(x, 0) for x in row)
+        minus = tuple(max(-x, 0) for x in row)
+        gens.append(ring.from_terms([(plus, Fraction(1)), (minus, Fraction(-1))]))
+    ideal = Ideal(ring, gens)
+    for i in sorted({i for g in ideal.gens for i in g.support_vars()}):
+        ideal = saturate(ideal, ring.var(ring.names[i]), budget=budget)
+    return ideal
+
+
+def counted_saturations(run):
+    """The result of `run()` and the number of `saturate` calls it made
+    through the groebner module."""
+    real = groebner.saturate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    groebner.saturate = counting
+    try:
+        return run(), len(calls)
+    finally:
+        groebner.saturate = real
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 2), cols=st.integers(2, 4), data=st.data())
+def test_toric_kernel_by_bayer_matches_elimination(rows, cols, data):
+    # entries from -2 to 2 give zero and negative column sums too, which
+    # must take the elimination route
+    m = IntMatrix.from_rows([[data.draw(st.integers(-2, 2)) for _ in range(cols)]
+                             for _ in range(rows)])
+    ring = PolyRing(tuple(f"x{i + 1}" for i in range(cols)))
+    try:
+        out, saturations = counted_saturations(
+            lambda: toric_kernel(m, ring, budget=20000))
+        reference = elimination_toric_kernel(m, ring, budget=20000)
+    except BudgetExceeded:
+        assume(False)
+    assert out.ring == ring
+    assert out.groebner() == reference.groebner()
+    if kernel_basis(m).entries:
+        weights = [sum(col) for col in m.columns()]
+        assert (saturations > 0) == (min(weights) < 1)
+        # the Bayer route returns the reduced basis as its generators
+        if min(weights) >= 1:
+            assert out.gens == groebner_basis(out.gens, ring)
+
+
+def test_toric_kernel_falls_back_on_a_zero_column_sum():
+    # column sums (1, 0, 1): no positive grading, so elimination
+    m = IntMatrix.from_rows([[1, -1, 0], [0, 1, 1]])
+    ring = PolyRing(("x1", "x2", "x3"))
+    out, saturations = counted_saturations(lambda: toric_kernel(m, ring))
+    assert saturations == 3
+    assert ideal_equal(out, Ideal(ring, [ring.parse("x1*x2 - x3")]))
+
+
+@pytest.mark.parametrize("c,d", [(3, 3), (3, 4), (4, 4)])
+def test_toric_kernel_by_bayer_matches_elimination_on_segre(c, d):
+    p = Params(c, d)
+    ring = ambient_ring(p)
+    e = segre_map(p).exponent_matrix()
+    out, saturations = counted_saturations(lambda: toric_kernel(e, ring))
+    assert saturations == 0
+    assert out.gens == groebner_basis(out.gens, ring)
+    assert out.groebner() == elimination_toric_kernel(e, ring).groebner()
+
+
 def test_membership_of_random_combinations(ideal33):
     rng = random.Random(11)
     ring = ideal33.ring
@@ -480,6 +586,17 @@ def test_weighted_basis_refuses_bad_input():
 def test_pair_budget_guard(pres33):
     with pytest.raises(BudgetExceeded):
         groebner_basis(list(pres33.relations), pres33.ring, budget=1)
+
+
+def test_s_polynomial_is_the_monic_forms_s_polynomial():
+    # rational coefficients and a negative leading coefficient
+    ring = PolyRing(("y", "x"))
+    f = ring.from_terms([((0, 2), Fraction(-3, 2)), ((1, 0), Fraction(5, 7))])
+    g = ring.from_terms([((1, 1), Fraction(2, 3)), ((0, 0), Fraction(-4))])
+    lcm = (1, 2)
+    expected = (f.monic().term_mul(exps_sub(lcm, f.leading_exps()), Fraction(1))
+                - g.monic().term_mul(exps_sub(lcm, g.leading_exps()), Fraction(1)))
+    assert s_polynomial(f, g) == expected
 
 
 def test_s_polynomial_cancels_heads():

@@ -59,3 +59,22 @@ def test_random_ideals_match_sympy():
                 gens.append(f)
         if gens:
             crosscheck(ring, gens)
+
+
+def test_random_rational_ideals_match_sympy():
+    # non-integral coefficients: the engine clears denominators on the way
+    # in and divides by the leading coefficients on the way out
+    ring = PolyRing(("w", "x", "y"))
+    coeffs = [Fraction(3, 2), Fraction(-5, 7), Fraction(1, 3), Fraction(-7, 4),
+              Fraction(-2), Fraction(1)]
+    rng = random.Random(20261018)
+    for _ in range(25):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = [(tuple(rng.randint(0, 2) for _ in range(3)), rng.choice(coeffs))
+                     for _ in range(rng.randint(1, 3))]
+            f = ring.from_terms(terms)
+            if f:
+                gens.append(f)
+        if gens:
+            crosscheck(ring, gens)

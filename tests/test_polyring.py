@@ -224,3 +224,26 @@ def test_pack_unpack_round_trip(order, data):
     assert pk.unpack_terms(pk.pack_terms([(e, Fraction(3))])) == ((e, 3),)
     with pytest.raises(ValueError, match="packed fields"):
         pk.pack(e[:-1] + (e[-1] + (1 << vbits) - sum(e),))
+
+
+class RecordingValues(dict):
+    """A point that records the names `evaluate` looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = set()
+
+    def get(self, name, default=None):
+        self.asked.add(name)
+        return super().get(name, default)
+
+
+def test_evaluate_looks_up_only_the_variables_in_use():
+    ring = PolyRing(tuple(f"x{i}" for i in range(10)))
+    f = ring.parse("x1^2*x3 - 3*x7 + 1")
+    point = RecordingValues({"x1": Fraction(1, 2), "x3": 4, "x9": 5, "w": 2})
+    # x7 is unlisted, so it counts as zero
+    assert f.evaluate(point) == 1 - 0 + 1
+    assert point.asked == {"x1", "x3", "x7"}
+    assert ring.parse("x0*x1 + x2").evaluate({"x1": 3, "x2": 2}) == 2
+    assert ring.zero().evaluate({"x1": 3}) == 0
