@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import collineation as col
 from . import geometry as geo
 from .groebner import BudgetExceeded, DEFAULT_PAIR_BUDGET, Ideal, \
     krull_dimension, monomial_dimension, normal_form, weighted_basis
-from .intlinalg import IntMatrix, kernel_basis, rank, row_space_hnf
+from .intlinalg import Frozen, IntMatrix, kernel_basis, rank, row_space_hnf
 from .polyring import Polynomial, RingMap, multidegree
 
 
@@ -26,20 +25,20 @@ class Skip(Exception):
     """Raised inside a check to mark it skipped, with a reason."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    status: str  # "pass" | "fail" | "skipped"
-    expected: object
-    actual: object
-    seconds: float
+class CheckResult(Frozen):
+    __slots__ = ("check_id", "status", "expected", "actual", "seconds")
+
+    def __init__(self, check_id: str, status: str, expected: object,
+                 actual: object, seconds: float):
+        # status is "pass", "fail" or "skipped"
+        self._init(check_id, status, expected, actual, seconds)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    c: int
-    d: int
-    results: tuple[CheckResult, ...]
+class VerificationReport(Frozen):
+    __slots__ = ("c", "d", "results")
+
+    def __init__(self, c: int, d: int, results: tuple[CheckResult, ...]):
+        self._init(c, d, results)
 
     @property
     def failed(self) -> list[CheckResult]:

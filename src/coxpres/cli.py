@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import checks as checks_mod
@@ -24,26 +23,23 @@ from . import collineation as col
 from . import geometry as geo
 from . import serialize as ser
 from .groebner import DEFAULT_PAIR_BUDGET
+from .intlinalg import Frozen
 
 # cox_presentation builds all C(c+d, 4) relations at once: 4,845 at the cap
 MAX_C_PLUS_D = 20
 
 
-@dataclass
-class Config:
-    c: int
-    d: int
-    checks: Optional[list[str]] = None
-    budget: int = DEFAULT_PAIR_BUDGET
-    fmt: str = "text"
-    out: Optional[str] = None
-    strict: bool = False
+class Config(Frozen):
+    __slots__ = ("c", "d", "checks", "budget", "fmt", "out", "strict")
 
-    def __post_init__(self):
-        if self.budget <= 0:
+    def __init__(self, c: int, d: int, checks: Optional[list[str]] = None,
+                 budget: int = DEFAULT_PAIR_BUDGET, fmt: str = "text",
+                 out: Optional[str] = None, strict: bool = False):
+        if budget <= 0:
             raise UsageError("budget must be positive")
-        if self.checks == []:
+        if checks == []:
             raise UsageError("--checks names no check")
+        self._init(c, d, checks, budget, fmt, out, strict)
 
 
 class UsageError(Exception):

@@ -12,12 +12,11 @@ the torus-invariant local equation of the exceptional divisor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import Cone
-from .intlinalg import IntMatrix
+from .intlinalg import Frozen, IntMatrix
 from .polyring import GREVLEX, Grading, Polynomial, PolyRing, RingMap
 
 TINF = "Tinf"
@@ -27,16 +26,15 @@ def pair_name(i: int, j: int) -> str:
     return f"T_{i}_{j}"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Frozen):
     """Dimensions (c, d) of the two ambient vector spaces; both >= 2."""
 
-    c: int
-    d: int
+    __slots__ = ("c", "d")
 
-    def __post_init__(self):
-        if self.c < 2 or self.d < 2:
+    def __init__(self, c: int, d: int):
+        if c < 2 or d < 2:
             raise ValueError("parameters must satisfy c >= 2 and d >= 2")
+        self._init(c, d)
 
     @property
     def n(self) -> int:
@@ -179,16 +177,16 @@ def barycenter_ray(p: Params) -> tuple[int, ...]:
 # presentation
 
 
-@dataclass(frozen=True)
-class CoxPresentation:
+class CoxPresentation(Frozen):
     """Variables, relations and grading presenting a Cox ring."""
 
-    params: Params
-    ring: PolyRing
-    relations: tuple[Polynomial, ...]
-    grading: Grading
-    class_group_rank: int
-    regime: str
+    __slots__ = ("params", "ring", "relations", "grading", "class_group_rank",
+                 "regime")
+
+    def __init__(self, params: Params, ring: PolyRing,
+                 relations: tuple[Polynomial, ...], grading: Grading,
+                 class_group_rank: int, regime: str):
+        self._init(params, ring, relations, grading, class_group_rank, regime)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -326,28 +324,32 @@ def segre_grading(p: Params) -> Grading:
     return Grading(IntMatrix.from_rows([row]))
 
 
-@dataclass(frozen=True)
-class ProofIdeals:
+class ProofIdeals(Frozen):
     """Generator data for the factorization through the Segre-type map."""
 
-    params: Params
-    g: tuple[Polynomial, ...]
-    h: tuple[Polynomial, ...]
-    h_quadruples: tuple[tuple[int, int, int, int], ...]
-    sigma_images: tuple[Polynomial, ...]
-    b_gens: tuple[Polynomial, ...]
-    b_prime_ring: PolyRing
-    b_prime: tuple[Polynomial, ...]
-    b_second_ring: PolyRing
-    b_second: tuple[Polynomial, ...]
-    b_prime_renamed_ring: PolyRing
-    b_prime_renamed: tuple[Polynomial, ...]
-    b_second_renamed_ring: PolyRing
-    b_second_renamed: tuple[Polynomial, ...]
+    __slots__ = ("params", "g", "h", "h_quadruples", "sigma_images", "b_gens",
+                 "b_prime_ring", "b_prime", "b_second_ring", "b_second",
+                 "b_prime_renamed_ring", "b_prime_renamed",
+                 "b_second_renamed_ring", "b_second_renamed")
 
-    @property
-    def a_gens(self) -> tuple[Polynomial, ...]:
-        return self.g + self.h
+    def __init__(self, params: Params,
+                 g: tuple[Polynomial, ...],
+                 h: tuple[Polynomial, ...],
+                 h_quadruples: tuple[tuple[int, int, int, int], ...],
+                 sigma_images: tuple[Polynomial, ...],
+                 b_gens: tuple[Polynomial, ...],
+                 b_prime_ring: PolyRing,
+                 b_prime: tuple[Polynomial, ...],
+                 b_second_ring: PolyRing,
+                 b_second: tuple[Polynomial, ...],
+                 b_prime_renamed_ring: PolyRing,
+                 b_prime_renamed: tuple[Polynomial, ...],
+                 b_second_renamed_ring: PolyRing,
+                 b_second_renamed: tuple[Polynomial, ...]):
+        self._init(params, g, h, h_quadruples, sigma_images, b_gens,
+                   b_prime_ring, b_prime, b_second_ring, b_second,
+                   b_prime_renamed_ring, b_prime_renamed,
+                   b_second_renamed_ring, b_second_renamed)
 
 
 def expected_sigma_image(p: Params, quad: tuple[int, int, int, int]) -> Polynomial:
@@ -463,19 +465,18 @@ def proof_ideals(p: Params) -> ProofIdeals:
 # witness points
 
 
-@dataclass(frozen=True)
-class WitnessPoint:
+class WitnessPoint(Frozen):
     """Sparse point in Pluecker coordinates; unlisted coordinates are 0."""
 
-    coords: tuple[tuple[tuple[int, int], Fraction], ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[tuple[tuple[int, int], Fraction], ...]):
+        self._init(coords)
 
     @staticmethod
     def of(assignment: dict[tuple[int, int], int | Fraction]) -> "WitnessPoint":
         return WitnessPoint(tuple(sorted(
             (ij, Fraction(v)) for ij, v in assignment.items())))
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.coords)
 
     def values_by_name(self) -> dict[str, Fraction]:
         return {pair_name(i, j): v for (i, j), v in self.coords}

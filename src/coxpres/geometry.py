@@ -12,13 +12,12 @@ dot products, without building a `Cone`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence
 
-from .intlinalg import IntMatrix, kernel_basis, primitive, rank
+from .intlinalg import Frozen, IntMatrix, kernel_basis, primitive, rank
 
 Vec = tuple[int, ...]
 
@@ -141,17 +140,18 @@ def _fm_feasible(constraints, nvars: int) -> bool:
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Cone in Q^k given by primitive integer generators.
 
     For ambient dimension <= 3 the stored generators are reduced to the
-    extremal rays (for pointed cones) and sorted, so equality of the
-    dataclass is equality of cones.
+    extremal rays (for pointed cones) and sorted, so equal fields mean
+    equal cones.
     """
 
-    ambient: int
-    generators: tuple[Vec, ...]
+    __slots__ = ("ambient", "generators")
+
+    def __init__(self, ambient: int, generators: tuple[Vec, ...]):
+        self._init(ambient, generators)
 
     @staticmethod
     def from_generators(ambient: int, gens: Iterable[Sequence[int]]) -> "Cone":
@@ -303,14 +303,15 @@ def cone_intersect(c1: Cone, c2: Cone) -> Cone:
 # fans
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
     """Fan: primitive rays plus maximal cones as sorted ray-index tuples."""
 
-    ambient: int
-    rays: tuple[Vec, ...]
-    maximal_cones: tuple[tuple[int, ...], ...]
-    simplicial: bool = False
+    __slots__ = ("ambient", "rays", "maximal_cones", "simplicial")
+
+    def __init__(self, ambient: int, rays: tuple[Vec, ...],
+                 maximal_cones: tuple[tuple[int, ...], ...],
+                 simplicial: bool = False):
+        self._init(ambient, rays, maximal_cones, simplicial)
 
     def validate(self) -> None:
         if len(set(self.rays)) != len(self.rays):
@@ -380,18 +381,17 @@ def git_fan(q: IntMatrix) -> Fan:
     return Fan(2, tuple(dirs), cones, simplicial=True)
 
 
-@dataclass(frozen=True)
-class GalePair:
+class GalePair(Frozen):
     """Ray matrix P and weight matrix Q with P @ Q^T = 0, checked once."""
 
-    p: IntMatrix
-    q: IntMatrix
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p.cols != self.q.cols:
+    def __init__(self, p: IntMatrix, q: IntMatrix):
+        if p.cols != q.cols:
             raise ValueError("not a Gale pair: column counts differ")
-        if not (self.p @ self.q.transpose()).is_zero():
+        if not (p @ q.transpose()).is_zero():
             raise ValueError("not a Gale pair: P @ Q^T is nonzero")
+        self._init(p, q)
 
 
 def gale_cone_test(pair: GalePair, w, removed: Iterable[int]) -> bool:

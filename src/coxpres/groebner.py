@@ -339,10 +339,6 @@ class Ideal:
     def contains(self, f: Polynomial, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
         return not normal_form(f, self.groebner(budget)) if f else True
 
-    def is_whole_ring(self, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-        gb = self.groebner(budget)
-        return len(gb) == 1 and sum(gb[0].leading_exps()) == 0
-
 
 def ideal_equal(a: Ideal, b: Ideal, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
     """Whether two presentations generate the same ideal."""

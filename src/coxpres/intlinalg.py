@@ -1,25 +1,70 @@
 """Exact integer matrices: rank, Hermite normal form, kernel bases.
 
 Everything here works over Python's arbitrary-precision integers; there is
-no floating point anywhere.  Matrices are immutable.
+no floating point anywhere.  Matrices are immutable.  `Frozen`, the base of
+the package's immutable value classes, lives here, in the bottom layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in `__slots__` and sets them once, through
+    `_init(*values)` in `__init__`, in `__slots__` order. Equality (only
+    with an instance of the same class), hash and repr come from the field
+    tuple; assigning or deleting a field raises AttributeError. Pickle and
+    `copy` rebuild an instance through `__init__`, so its validation runs
+    again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1
+                                    else lambda x: (get(x),))
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+
+class IntMatrix(Frozen):
     """Immutable integer matrix stored as a tuple of row tuples."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = self.entries
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
+        self._init(entries)
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":

@@ -10,11 +10,10 @@ the Buchberger engine computes in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .intlinalg import IntMatrix
+from .intlinalg import Frozen, IntMatrix
 
 Exps = tuple[int, ...]
 Term = tuple[Exps, Fraction]
@@ -575,11 +574,13 @@ def exps_sub(e1: Exps, e2: Exps) -> Exps:
 # gradings and ring maps
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Frozen):
     """Degree matrix with one column per ring variable."""
 
-    matrix: IntMatrix
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: IntMatrix):
+        self._init(matrix)
 
     def degree_of_var(self, i: int) -> tuple[int, ...]:
         return self.matrix.col(i)

@@ -7,15 +7,13 @@ kernel instead of computing it. Each is compared here with the old route
 must reject an ideal for which the claim is false.
 """
 
-import dataclasses
-
 import pytest
 
 from coxpres import checks
 from coxpres.checks import default_check_ids, run_checks
 from coxpres.cli import main
-from coxpres.collineation import (TINF, Params, ambient_ring, cox_presentation,
-                                  proof_ideals, segre_map)
+from coxpres.collineation import (TINF, Params, ProofIdeals, ambient_ring,
+                                  cox_presentation, proof_ideals, segre_map)
 from coxpres.groebner import (Ideal, ideal_equal, krull_dimension, saturate,
                               toric_kernel, weighted_basis)
 from coxpres.intlinalg import kernel_basis
@@ -105,7 +103,9 @@ def test_certificate_rejects_lattice_basis_binomials(c, d, monkeypatch):
 
     def patched(params):
         pi = real(params)
-        return dataclasses.replace(pi, g=lattice_binomials(e, ring))
+        fields = {name: getattr(pi, name) for name in ProofIdeals.__slots__}
+        fields["g"] = lattice_binomials(e, ring)
+        return ProofIdeals(**fields)
 
     monkeypatch.setattr(checks.col, "proof_ideals", patched)
     (result,) = run_checks(p, ["torickernel"]).results
