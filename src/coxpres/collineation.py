@@ -20,6 +20,7 @@ from .intlinalg import Frozen, IntMatrix
 from .polyring import GREVLEX, Grading, Polynomial, PolyRing, RingMap
 
 TINF = "Tinf"
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def pair_name(i: int, j: int) -> str:
@@ -102,10 +103,21 @@ def plucker_ring(m: int) -> PolyRing:
     return PolyRing(names, GREVLEX)
 
 
-def _plucker_poly(ring: PolyRing, i, j, k, l) -> Polynomial:
-    return (ring.monomial({pair_name(i, j): 1, pair_name(k, l): 1})
-            - ring.monomial({pair_name(i, k): 1, pair_name(j, l): 1})
-            + ring.monomial({pair_name(i, l): 1, pair_name(j, k): 1}))
+def _plucker_poly(ring: PolyRing, i, j, k, l, tinf: bool = False) -> Polynomial:
+    """T_ij T_kl - T_ik T_jl + T_il T_jk, with Tinf on the first term when
+    `tinf`: three exponent tuples summed and sorted once."""
+    index, zero = ring.index, [0] * ring.nvars
+
+    def exps(*names):
+        e = zero[:]
+        for name in names:
+            e[index[name]] = 1
+        return tuple(e)
+
+    first = (pair_name(i, j), pair_name(k, l)) + ((TINF,) if tinf else ())
+    return ring.from_terms(((exps(*first), _ONE),
+                            (exps(pair_name(i, k), pair_name(j, l)), _MINUS_ONE),
+                            (exps(pair_name(i, l), pair_name(j, k)), _ONE)))
 
 
 def plucker_relations(m: int, ring: Optional[PolyRing] = None) -> list[Polynomial]:
@@ -214,17 +226,10 @@ def cox_presentation(p: Params) -> CoxPresentation:
         return CoxPresentation(p, ring, rels, Grading(q), 2, p.regime)
     ring = presentation_ring(p)
     c = p.c
-    rels = []
-    for i, j, k, l in itertools.combinations(range(1, p.c + p.d + 1), 4):
-        if j <= c < k:
-            rels.append(
-                ring.monomial({TINF: 1, pair_name(i, j): 1, pair_name(k, l): 1})
-                - ring.monomial({pair_name(i, k): 1, pair_name(j, l): 1})
-                + ring.monomial({pair_name(i, l): 1, pair_name(j, k): 1}))
-        else:
-            rels.append(_plucker_poly(ring, i, j, k, l))
+    rels = tuple(_plucker_poly(ring, i, j, k, l, tinf=j <= c < k)
+                 for i, j, k, l in itertools.combinations(range(1, c + p.d + 1), 4))
     _, qinf = weight_matrices(p)
-    return CoxPresentation(p, ring, tuple(rels), Grading(qinf), 3, "general")
+    return CoxPresentation(p, ring, rels, Grading(qinf), 3, "general")
 
 
 def quadruple_splits(p: Params, quad: tuple[int, int, int, int]) -> bool:

@@ -146,21 +146,30 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with U unimodular, U @ m == H, pivots positive, entries
     above each pivot reduced into [0, pivot), and zero rows at the bottom.
     """
-    a = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
+    nr = m.rows
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    a = _hnf_rows(m, u)
+    return IntMatrix.from_rows(a), IntMatrix.from_rows(u)
+
+
+def _hnf_rows(m: IntMatrix, *carried: list) -> list[list[int]]:
+    """The rows of the Hermite normal form of m; every row operation is
+    applied to each matrix of `carried` as well, in place."""
+    a = [list(r) for r in m.entries]
+    mats = (a,) + carried
+    nr, nc = m.rows, m.cols
 
     def addmul(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+        for b in mats:
+            b[dst] = [x - q * y for x, y in zip(b[dst], b[src])]
 
     def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for b in mats:
+            b[i], b[j] = b[j], b[i]
 
     def negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for b in mats:
+            b[i] = [-x for x in b[i]]
 
     r = 0
     pivots = []
@@ -191,7 +200,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = a[i][pc] // a[pr][pc]
             if q:
                 addmul(i, pr, q)
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u)
+    return a
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -209,8 +218,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 def row_space_hnf(m: IntMatrix) -> IntMatrix:
     """Canonical form of the row lattice: nonzero rows of the HNF."""
-    h, _ = hermite_normal_form(m)
-    return IntMatrix.from_rows([r for r in h.entries if any(x != 0 for x in r)])
+    return IntMatrix.from_rows([r for r in _hnf_rows(m) if any(r)])
 
 
 def primitive(v) -> tuple[int, ...]:

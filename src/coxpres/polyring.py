@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, neg
 from typing import Iterable, Optional
 
 from .intlinalg import Frozen, IntMatrix
@@ -61,7 +62,7 @@ class Grevlex(MonomialOrder):
     name = "grevlex"
 
     def key(self, e: Exps):
-        return (sum(e), tuple(-x for x in e))
+        return (sum(e), tuple(map(neg, e)))
 
     def packing(self, nvars, vbits):
         # var 0 in the top field: among equal degrees, a smaller packed
@@ -95,7 +96,7 @@ class EliminationBlock(MonomialOrder):
 
     def key(self, e: Exps):
         head, tail = e[: self.block], e[self.block :]
-        return (sum(head), tuple(-x for x in head), sum(tail), tuple(-x for x in tail))
+        return (sum(head), tuple(map(neg, head)), sum(tail), tuple(map(neg, tail)))
 
     def packing(self, nvars, vbits):
         # the grevlex layout: the head block's fields sit above the tail's,
@@ -265,9 +266,12 @@ class PolyRing:
         return Polynomial(self, ((tuple(e), c),))
 
     def from_terms(self, terms: Iterable[Term]) -> "Polynomial":
+        """The sum of the terms; an int coefficient becomes a Fraction."""
         acc: dict[Exps, Fraction] = {}
         for e, c in terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
+            acc[e] = acc[e] + c if e in acc else c
         return self._from_dict(acc)
 
     def _from_dict(self, acc: dict[Exps, Fraction]) -> "Polynomial":
@@ -402,13 +406,24 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         return Polynomial(self.ring, _merge(self.ring.order.key, self.terms, other.terms))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         return Polynomial(self.ring, _merge(self.ring.order.key, self.terms, (-other).terms))
+
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __neg__(self):
         return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
@@ -419,12 +434,14 @@ class Polynomial:
             if c == 0:
                 return self.ring.zero()
             return Polynomial(self.ring, tuple((e, k * c) for e, k in self.terms))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         acc: dict[Exps, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
         return self.ring._from_dict(acc)
 
     __rmul__ = __mul__
@@ -442,14 +459,16 @@ class Polynomial:
         return out
 
     def _coerce(self, other):
+        """`other` as a Polynomial: a constant for an int or Fraction,
+        NotImplemented for any other type."""
         if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
-        return other
+        return other if isinstance(other, Polynomial) else NotImplemented
 
     def term_mul(self, exps: Exps, coeff: Fraction) -> "Polynomial":
         """Multiply by a single term; preserves sortedness."""
         return Polynomial(self.ring, tuple(
-            (tuple(a + b for a, b in zip(e, exps)), c * coeff) for e, c in self.terms))
+            (tuple(map(add, e, exps)), c * coeff) for e, c in self.terms))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
@@ -586,9 +605,9 @@ class Grading(Frozen):
         return self.matrix.col(i)
 
     def degree_of_exps(self, e: Exps) -> tuple[int, ...]:
-        cols = self.matrix
-        return tuple(sum(cols.entries[r][i] * k for i, k in enumerate(e) if k)
-                     for r in range(cols.rows))
+        nonzero = [(i, k) for i, k in enumerate(e) if k]
+        return tuple(sum(row[i] * k for i, k in nonzero)
+                     for row in self.matrix.entries)
 
 
 def multidegree(f: Polynomial, grading: Grading) -> Optional[tuple[int, ...]]:
@@ -618,29 +637,32 @@ class RingMap:
         for g in self.images:
             if g.ring != target:
                 raise ValueError("image outside target ring")
-        # monomial maps admit a fast exponent-vector path
+        # monomial maps admit a fast exponent-vector path: each image is
+        # kept as its sparse (index, exponent) pairs and its coefficient
         self._monomial = all(len(g.terms) == 1 for g in self.images)
+        if self._monomial:
+            self._sparse = tuple(
+                (tuple((j, x) for j, x in enumerate(ie) if x), ic)
+                for ie, ic in (g.terms[0] for g in self.images))
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:
             raise ValueError("polynomial outside source ring")
         if self._monomial:
             acc: dict[Exps, Fraction] = {}
-            img = [g.terms[0] for g in self.images]
-            zero = (0,) * self.target.nvars
+            sparse = self._sparse
+            zero = [0] * self.target.nvars
             for e, c in f.terms:
-                ee = list(zero)
-                cc = c
+                ee = zero[:]
                 for i, k in enumerate(e):
                     if k:
-                        ie, ic = img[i]
-                        for j, x in enumerate(ie):
-                            if x:
-                                ee[j] += x * k
+                        pairs, ic = sparse[i]
+                        for j, x in pairs:
+                            ee[j] += x * k
                         if ic != 1:
-                            cc *= ic ** k
+                            c *= ic ** k
                 key = tuple(ee)
-                acc[key] = acc.get(key, Fraction(0)) + cc
+                acc[key] = acc[key] + c if key in acc else c
             return self.target._from_dict(acc)
         out = self.target.zero()
         for e, c in f.terms:

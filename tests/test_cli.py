@@ -173,7 +173,8 @@ def _run_cli_with_budget(budget):
         [sys.executable, "-m", "coxpres.cli", "verify", "--c", "3", "--d", "3",
          "--checks", "dimension"],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "COXPRES_BUDGET": budget,
+        env={"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1",
+             "COXPRES_BUDGET": budget,
              "PYTHONPATH": str(Path(coxpres.__file__).parents[1])})
 
 

@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+
 import pytest
 
 from coxpres import checks, collineation
@@ -406,3 +408,26 @@ def test_block_pairs_order():
     assert pairs[:3] == [(1, 2), (1, 3), (2, 3)]
     assert pairs[3:12] == [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]
     assert pairs[12:] == [(4, 5), (4, 6), (5, 6)]
+
+
+def monomial_build(p):
+    """The presentation's relations built as monomial - monomial + monomial,
+    with Tinf on the first term of a split quadruple."""
+    ring = cox_presentation(p).ring
+    if p.regime == "p3":
+        return ()
+    rels = []
+    for i, j, k, l in itertools.combinations(range(1, p.c + p.d + 1), 4):
+        extra = {TINF: 1} if p.regime == "general" and j <= p.c < k else {}
+        rels.append(ring.monomial({**extra, pair_name(i, j): 1, pair_name(k, l): 1})
+                    - ring.monomial({pair_name(i, k): 1, pair_name(j, l): 1})
+                    + ring.monomial({pair_name(i, l): 1, pair_name(j, k): 1}))
+    return tuple(rels)
+
+
+@pytest.mark.parametrize("c,d", [(2, 2), (2, 4), (4, 2), (3, 3), (3, 4), (5, 5)])
+def test_relations_equal_monomial_build(c, d):
+    p = Params(c, d)
+    rels = cox_presentation(p).relations
+    assert rels == monomial_build(p)
+    assert all(type(x) is Fraction for f in rels for _, x in f.terms)

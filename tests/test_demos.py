@@ -20,6 +20,6 @@ def test_demo_runs(demo):
     # PYTHONPATH points at the coxpres imported here, as in test_cli
     out = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin",
+        env={"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1",
              "PYTHONPATH": str(Path(coxpres.__file__).parents[1])})
     assert out.returncode == 0, out.stderr

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxpres.collineation import Params, gale_matrix_P, weight_matrices
 from coxpres.intlinalg import (IntMatrix, hermite_normal_form, kernel_basis,
@@ -101,3 +103,14 @@ def test_rational_representation_is_canonical():
     big = 10 ** 50
     m = IntMatrix.from_rows([[big, 2 * big], [3, 7]])
     assert rank(m) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 5), cols=st.integers(1, 5), data=st.data())
+def test_row_space_hnf_is_the_nonzero_rows_of_the_hnf(rows, cols, data):
+    m = IntMatrix.from_rows(data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+    h, _ = hermite_normal_form(m)
+    assert row_space_hnf(m) == IntMatrix.from_rows(
+        [r for r in h.entries if any(x != 0 for x in r)])

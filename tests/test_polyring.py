@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -247,3 +248,118 @@ def test_evaluate_looks_up_only_the_variables_in_use():
     assert point.asked == {"x1", "x3", "x7"}
     assert ring.parse("x0*x1 + x2").evaluate({"x1": 3, "x2": 2}) == 2
     assert ring.zero().evaluate({"x1": 3}) == 0
+
+
+# ---------------------------------------------------------------------------
+# the term-cost paths against the constructions they replaced
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.lists(st.integers(0, 6), max_size=12).map(tuple),
+       block=st.integers(0, 12))
+def test_order_keys_equal_generator_built_tuples(e, block):
+    assert GREVLEX.key(e) == (sum(e), tuple(-x for x in e))
+    assert LEX.key(e) == tuple(x for x in reversed(e))
+    head, tail = e[:block], e[block:]
+    assert EliminationBlock(block).key(e) == (
+        sum(head), tuple(-x for x in head), sum(tail), tuple(-x for x in tail))
+
+
+def substitute(f, images, target):
+    """f with each variable replaced by its image, by Polynomial arithmetic."""
+    out = target.zero()
+    for e, c in f.terms:
+        t = target.const(c)
+        for g, k in zip(images, e):
+            t = t * g ** k
+        out = out + t
+    return out
+
+
+COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(5, 7))
+
+
+@st.composite
+def monomial_maps(draw):
+    """A monomial map between small rings, its images drawn with repeats
+    allowed, and a polynomial of its source."""
+    ns, nt = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    source = PolyRing(tuple(f"x{i}" for i in range(ns)))
+    target = PolyRing(tuple(f"y{j}" for j in range(nt)))
+    image = st.tuples(st.tuples(*[st.integers(0, 3)] * nt), st.sampled_from(COEFFS))
+    images = [target.from_terms([t]) for t in draw(st.lists(
+        image, min_size=ns, max_size=ns))]
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * ns), st.sampled_from(COEFFS))
+    f = source.from_terms(draw(st.lists(term, max_size=5)))
+    return RingMap(source, target, images), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=monomial_maps())
+def test_monomial_ring_map_equals_substitution(case):
+    phi, f = case
+    assert phi._monomial
+    assert phi(f) == substitute(f, phi.images, phi.target)
+
+
+def test_monomial_ring_map_repeated_targets_and_coefficients():
+    src, dst = PolyRing(("a", "b", "c")), PolyRing(("u", "v", "w"))
+    images = [dst.parse("2*u*w"), dst.parse("2*u*w"),
+              dst.const(Fraction(-1, 3)) * dst.parse("w^2")]
+    phi = RingMap(src, dst, images)
+    f = src.parse("a^2*c - 3*a*b*c + b^2*c + 4*c^3 - b")
+    assert phi._monomial
+    assert phi(f) == substitute(f, images, dst)
+    # a and b share an image, so a^2*c, a*b*c and b^2*c collect into one term
+    assert phi(src.parse("a^2*c - 2*a*b*c + b^2*c")) == dst.zero()
+
+
+def test_from_terms_drops_cancelled_terms(xy):
+    x, y = (1, 0), (0, 1)
+    f = xy.from_terms([(x, Fraction(1)), (y, Fraction(2)), (x, Fraction(-1)),
+                       (y, Fraction(1, 2)), ((0, 0), Fraction(3)),
+                       ((0, 0), Fraction(-3))])
+    assert f.terms == ((y, Fraction(5, 2)),)
+    assert xy.from_terms([(x, Fraction(1)), (x, Fraction(-1))]).terms == ()
+    # int coefficients are read as Fractions
+    g = xy.from_terms([(x, 1), (y, -1), (y, 3)])
+    assert g.terms == ((y, Fraction(2)), (x, Fraction(1)))
+    assert all(type(c) is Fraction for _, c in g.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_degree_of_exps_equals_dense_sum(data):
+    rows, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    entries = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                 min_size=rows, max_size=rows))
+    e = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple))
+    grading = Grading(IntMatrix.from_rows(entries))
+    assert grading.degree_of_exps(e) == tuple(
+        sum(row[i] * e[i] for i in range(n)) for row in entries)
+
+
+# ---------------------------------------------------------------------------
+# operators on mixed operands
+
+
+@pytest.mark.parametrize("other", [0.5, "a", None], ids=repr)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=lambda op: op.__name__)
+def test_unsupported_operands_raise_type_error(xy, op, other):
+    x = xy.var("x")
+    with pytest.raises(TypeError):
+        op(x, other)
+    with pytest.raises(TypeError):
+        op(other, x)
+
+
+def test_numbers_on_the_left(xy):
+    x, y = xy.gens()
+    assert 1 + x == x + 1 == xy.parse("x + 1")
+    assert 1 - x == xy.parse("1 - x")
+    assert Fraction(1, 2) + x == x + Fraction(1, 2)
+    assert Fraction(1, 2) - x == xy.const(Fraction(1, 2)) - x
+    assert 0 - x == -x and 3 - xy.const(3) == xy.zero()
+    assert sum([x, y]) == x + y
+    assert 2 * x == x * 2 == x + x

@@ -178,7 +178,7 @@ def _modules_added_by(statement):
             "; print(json.dumps(sorted(set(sys.modules) - before)))")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PATH": "/usr/bin:/bin",
+        env={"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1",
              "PYTHONPATH": str(Path(coxpres.__file__).parents[1])})
     return set(json.loads(out.stdout))
 
